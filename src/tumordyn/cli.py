@@ -238,12 +238,7 @@ def _sweep_row(args) -> dict:
         orbit = periodic_mod.find_periodic(trial)
         theta2 = stability.theta_n(orbit, 2)
         lambda2 = stability.mode_exponent(orbit, 2).lambda_bar
-        if mu < theta2:
-            stab = "LinearlyStable"
-        elif mu > theta2:
-            stab = "LinearlyUnstable"
-        else:
-            stab = "Marginal"
+        stab = stability.classify_stability(mu, theta2).value
         row.update(verdict=stab, R_star0=orbit.R_star0, theta2=theta2, lambda2=lambda2)
     except TumordynError as exc:
         row.update(verdict="Error", R_star0=None, theta2=None, lambda2=None, error=str(exc))

@@ -3,8 +3,13 @@
 Four concrete forms are supported: constant, sinusoid, truncated Fourier
 series, and a periodic piecewise-linear table.  Every form reduces time
 modulo the period before evaluating, so long integrations accrue no phase
-drift, and every form has a closed-form period mean.  Positivity is enforced
-at construction.
+drift, and every form has a closed-form period mean.  Finite parameters and
+positivity are enforced at construction.
+
+A plain number is evaluated without building arrays (the radius ODE calls the
+schedule once per right-hand-side evaluation); each form's ``_value`` is one
+formula written with ufuncs that take floats and arrays alike, so a float
+and an array of the same times give the same bits.
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ class NutrientSchedule:
     period: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.period) and self.period > 0.0):
+        self._check_finite(period=self.period)
+        if not self.period > 0.0:
             raise ScheduleError(f"period must be positive, got {self.period}")
 
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, t):
+        if isinstance(t, (float, int)):
+            return float(self._value(float(t) % self.period))
         tau = np.asarray(t, dtype=float) % self.period
         out = self._value(tau)
         return float(out) if np.isscalar(t) else out
@@ -61,7 +69,29 @@ class NutrientSchedule:
     def _stats(self) -> tuple[float, float, float]:
         raise NotImplementedError
 
+    def _check_finite(self, **values):
+        for name, value in values.items():
+            try:
+                ok = math.isfinite(value)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ScheduleError(
+                    f"{type(self).__name__} {name} must be a finite number, got {value!r}"
+                )
+
+    def _finite_tuple(self, name, values) -> tuple[float, ...]:
+        try:
+            out = tuple(float(x) for x in values)
+        except (TypeError, ValueError):
+            raise ScheduleError(
+                f"{type(self).__name__} {name} must be a sequence of numbers, got {values!r}"
+            ) from None
+        self._check_finite(**{f"{name}[{i}]": x for i, x in enumerate(out)})
+        return out
+
     def _check_positive(self):
+        self._check_finite(mean=self.mean, maximum=self.maximum, minimum=self.minimum)
         if self.minimum <= 0.0:
             raise ScheduleError(
                 f"{type(self).__name__} schedule is not strictly positive "
@@ -75,9 +105,12 @@ class ConstantSchedule(NutrientSchedule):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check_finite(value=self.value)
         self._check_positive()
 
     def _value(self, tau):
+        if isinstance(tau, float):
+            return self.value
         return np.full_like(np.asarray(tau, dtype=float), self.value)[()]
 
     def _stats(self):
@@ -93,6 +126,7 @@ class SinusoidSchedule(NutrientSchedule):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check_finite(mean=self.mean_level, amplitude=self.amplitude)
         self._check_positive()
 
     def _value(self, tau):
@@ -116,14 +150,15 @@ class FourierSchedule(NutrientSchedule):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
-        object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
+        self._check_finite(mean=self.mean_level)
+        object.__setattr__(self, "cos_coeffs", self._finite_tuple("cos_coeffs", self.cos_coeffs))
+        object.__setattr__(self, "sin_coeffs", self._finite_tuple("sin_coeffs", self.sin_coeffs))
         object.__setattr__(self, "_cached", self._scan_extrema())
         self._check_positive()
 
     def _value(self, tau):
-        w = 2.0 * math.pi * np.asarray(tau, dtype=float) / self.period
-        out = np.full_like(np.asarray(w, dtype=float), self.mean_level)
+        w = 2.0 * math.pi * tau / self.period
+        out = self.mean_level if isinstance(w, float) else np.full_like(w, self.mean_level)
         for k, a in enumerate(self.cos_coeffs, start=1):
             out = out + a * np.cos(k * w)
         for k, b in enumerate(self.sin_coeffs, start=1):
@@ -162,8 +197,8 @@ class PiecewiseLinearSchedule(NutrientSchedule):
 
     def __post_init__(self):
         super().__post_init__()
-        t = tuple(float(x) for x in self.knot_times)
-        v = tuple(float(x) for x in self.knot_values)
+        t = self._finite_tuple("knot_times", self.knot_times)
+        v = self._finite_tuple("knot_values", self.knot_values)
         object.__setattr__(self, "knot_times", t)
         object.__setattr__(self, "knot_values", v)
         if len(t) < 2 or len(t) != len(v):
@@ -207,14 +242,14 @@ def schedule_from_spec(spec: dict) -> NutrientSchedule:
             return FourierSchedule(
                 period=period,
                 mean_level=spec["mean"],
-                cos_coeffs=tuple(spec.get("cos", ())),
-                sin_coeffs=tuple(spec.get("sin", ())),
+                cos_coeffs=spec.get("cos", ()),
+                sin_coeffs=spec.get("sin", ()),
             )
         if form == "piecewise":
             return PiecewiseLinearSchedule(
                 period=period,
-                knot_times=tuple(spec["times"]),
-                knot_values=tuple(spec["values"]),
+                knot_times=spec["times"],
+                knot_values=spec["values"],
             )
     except KeyError as exc:
         raise ScheduleError(f"schedule form {form!r} missing key {exc}") from exc

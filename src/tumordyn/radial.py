@@ -100,14 +100,8 @@ def integrate(
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
 
-    def fun(t, y):
-        r = y[0]
-        if r <= 0.0:
-            return [0.0]
-        return [params.mu * r * (params.schedule(t) * p0(r) - params.sigma_tilde / 3.0)]
-
     sol = solve_ivp(
-        fun,
+        lambda t, y: [rhs(params, t, max(float(y[0]), 0.0))],
         (t0, t1),
         [R0],
         method="RK45",
@@ -161,7 +155,8 @@ def extinction_diagnostics(
     """Integrate n_periods and check the proof-backed decay structure.
 
     Verifies (a) R(kT) is non-increasing and (b) within each period
-    R(t) <= R(kT) * exp(mu*(Phi_max - sigma_tilde)*T/3) on a grid.
+    R(t) <= R(kT) * exp(mu*max(0, Phi_max - sigma_tilde)*T/3) on a grid,
+    which follows from dR/dt <= mu*R*(Phi_max - sigma_tilde)/3 since P0 <= 1/3.
     """
     if classify_radial(params) is not Classification.EXTINCTION:
         raise ValueError("extinction diagnostics require sigma_tilde >= mean(Phi)")
@@ -185,7 +180,8 @@ def extinction_diagnostics(
             f"R(kT) increased between periods {k} and {k + 1} by {diffs[k]:.3e}"
         )
 
-    cap = math.exp(params.mu * (params.schedule.maximum - params.sigma_tilde) * T / 3.0)
+    growth = max(0.0, params.schedule.maximum - params.sigma_tilde)
+    cap = math.exp(params.mu * growth * T / 3.0)
     cap_ok = True
     for k in range(n_periods):
         seg = traj.radii[k * grid_per_period : (k + 1) * grid_per_period + 1]

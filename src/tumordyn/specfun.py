@@ -60,24 +60,26 @@ def _ratio_cf(nu: float, r: np.ndarray) -> np.ndarray:
     raise RuntimeError("Bessel ratio continued fraction did not converge")
 
 
-def _ratio_series(nu: float, r: np.ndarray) -> np.ndarray:
+def _ratio_series(nu: float, r):
     """I_{nu+1}(r)/I_nu(r) from the defining power series (small r*r/(4*nu)).
 
     Both partial sums have positive terms, so the quotient is cancellation
     free; callers restrict to x = r^2/4 < 0.01*(nu+1) where <= ~10 terms
-    reach double precision.
+    reach double precision.  r is a float or an array; both take the same
+    operations.
     """
     x = 0.25 * r * r
-    s_lo = np.ones_like(r)   # sum for I_nu with leading factor stripped
-    s_hi = np.ones_like(r)   # same for I_{nu+1}
-    term_lo = np.ones_like(r)
-    term_hi = np.ones_like(r)
+    s_lo = 1.0   # sum for I_nu with leading factor stripped
+    s_hi = 1.0   # same for I_{nu+1}
+    term_lo = 1.0
+    term_hi = 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         term_lo = term_lo * x / (k * (nu + k))
         term_hi = term_hi * x / (k * (nu + 1.0 + k))
-        s_lo += term_lo
-        s_hi += term_hi
-        if np.all(term_lo < 1e-18 * s_lo):
+        s_lo = s_lo + term_lo
+        s_hi = s_hi + term_hi
+        done = term_lo < 1e-18 * s_lo
+        if done if isinstance(done, bool) else done.all():
             break
     return (0.5 * r / (nu + 1.0)) * s_hi / s_lo
 
@@ -106,13 +108,27 @@ def pn(n: int, r, n_max: int = DEFAULT_N_MAX):
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _p0_closed(r):
+    """coth(r)/r - 1/r^2 for a float or an array; np.tanh on both."""
+    return 1.0 / (np.tanh(r) * r) - 1.0 / (r * r)
+
+
 def p0(r):
     """P_0(r) = coth(r)/r - 1/r^2, with a series branch below r = 0.3.
 
     The closed form loses accuracy near the origin (1/r^2 cancellation), so
     small arguments reuse the series ratio; the crossover keeps the relative
     error below ~1e-14 on both sides.
+
+    A float (the radius ODE's case) builds no arrays and returns the same
+    bits as the array path, so no result depends on which path ran;
+    anything else goes through arrays.
     """
+    if isinstance(r, float):
+        r = float(r)
+        if not (math.isfinite(r) and r > 0.0):
+            raise ValueError("argument r must be finite and positive")
+        return _ratio_series(0.5, r) / r if r < 0.3 else float(_p0_closed(r))
     arr = _as_positive_array(r)
     a = np.atleast_1d(arr)
     out = np.empty_like(a)
@@ -122,7 +138,7 @@ def p0(r):
         out[small] = _ratio_series(0.5, rs) / rs
     if np.any(~small):
         rl = a[~small]
-        out[~small] = 1.0 / (np.tanh(rl) * rl) - 1.0 / (rl * rl)
+        out[~small] = _p0_closed(rl)
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 

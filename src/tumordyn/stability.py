@@ -43,6 +43,16 @@ class ModeExponent:
     floquet_multiplier: float
 
 
+def classify_stability(mu: float, theta2: float, band: float = MARGINAL_BAND) -> Verdict:
+    """Verdict for mu against the critical theta_2; |mu - theta_2| within
+    band * theta_2 counts as marginal."""
+    if abs(mu - theta2) <= band * theta2:
+        return Verdict.MARGINAL
+    if mu < theta2:
+        return Verdict.LINEARLY_STABLE
+    return Verdict.LINEARLY_UNSTABLE
+
+
 def _surface_tension_integral(orbit: PeriodicSolution) -> float:
     """Int over one period of 1/R*^3."""
     _, wq, rq = orbit.quadrature()
@@ -255,12 +265,6 @@ def analyze(
     thresholds = np.array([theta_n(orbit, n) for n in range(2, n_max + 1)])
     exponents = [mode_exponent(orbit, n) for n in range(0, n_max + 1)]
     crit = thresholds[0]
-    if abs(params.mu - crit) <= marginal_band * crit:
-        verdict = Verdict.MARGINAL
-    elif params.mu < crit:
-        verdict = Verdict.LINEARLY_STABLE
-    else:
-        verdict = Verdict.LINEARLY_UNSTABLE
     sc = mu_star(params, self_consistent=True)[0] if self_consistent else None
     return StabilityReport(
         params=params,
@@ -269,5 +273,5 @@ def analyze(
         mu_star=crit,
         self_consistent_mu_star=sc,
         exponents=exponents,
-        verdict=verdict,
+        verdict=classify_stability(params.mu, crit, marginal_band),
     )

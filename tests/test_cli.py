@@ -120,6 +120,26 @@ class TestSweep:
         assert by[(0.5, 0.5)] == "LinearlyUnstable"
         assert by[(1.0, 0.5)] == "LinearlyUnstable"
 
+    def test_marginal_band_matches_stability(self, tmp_path):
+        # constant supply: theta_2 does not move with mu, so mu = theta_2*(1+1e-9)
+        # lies inside the marginal band for both commands
+        constant = {"schedule": {"form": "constant", "period": 1.0, "value": 1.0}}
+        cfg = write_config(tmp_path, extra=constant, name="base.json")
+        assert run("stability", cfg, tmp_path / "base") == 0
+        theta2 = json.loads((tmp_path / "base" / "report.json").read_text())["mu_star"]
+        mu = theta2 * (1.0 + 1e-9)
+        cfg = write_config(
+            tmp_path,
+            extra={**constant, "stability": {"n_max": 2}, "sweep": {"mu_grid": [mu]}},
+            mu=mu,
+        )
+        assert run("stability", cfg, tmp_path / "stab") == 0
+        assert run("sweep", cfg, tmp_path / "sweep") == 0
+        report = json.loads((tmp_path / "stab" / "report.json").read_text())
+        row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert report["verdict"] == "Marginal"
+        assert row[2] == "Marginal"
+
     def test_bad_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [2.0, 1.0]}})
         assert run("sweep", cfg, tmp_path / "out") == 2
@@ -143,6 +163,24 @@ class TestValidation:
     def test_unknown_schedule_form(self, tmp_path):
         cfg = write_config(tmp_path, extra={"schedule": {"form": "square"}})
         assert run("simulate", cfg, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"form": "constant", "period": 1.0, "value": float("nan")},
+            {"form": "constant", "period": float("inf"), "value": 1.0},
+            {"form": "sinusoid", "period": 1.0, "mean": 1.0, "amplitude": float("nan")},
+            {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [float("inf")]},
+            {"form": "piecewise", "period": 1.0, "times": [0.0, 1.0], "values": [float("nan")] * 2},
+            {"form": "sinusoid", "period": "x", "mean": 1.0, "amplitude": 0.5},
+        ],
+    )
+    def test_non_finite_schedule(self, tmp_path, capsys, schedule):
+        cfg = write_config(tmp_path, extra={"schedule": schedule})
+        assert run("simulate", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_invalid_params(self, tmp_path):
         cfg = write_config(tmp_path, mu=-1.0)

@@ -130,6 +130,63 @@ class TestPiecewiseLinear:
             )
 
 
+FORMS = [
+    ConstantSchedule(period=1.5, value=1.3),
+    SinusoidSchedule(period=2.0, mean_level=1.0, amplitude=0.5),
+    FourierSchedule(
+        period=0.7, mean_level=1.0, cos_coeffs=(0.2, -0.1), sin_coeffs=(0.15, 0.05, 0.02)
+    ),
+    PiecewiseLinearSchedule(
+        period=1.0, knot_times=(0.0, 0.25, 0.6, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+    ),
+]
+
+
+@pytest.mark.parametrize("schedule", FORMS, ids=lambda s: type(s).__name__)
+def test_float_path_bit_equal_to_array_path(schedule):
+    """A float skips the array machinery in __call__; both paths give the same bits."""
+    T = schedule.period
+    knots = [k * T + x for k in range(4) for x in getattr(schedule, "knot_times", ())]
+    t = np.concatenate([np.linspace(-0.5 * T, 4.0 * T, 4001), [0.0, T, 2.0 * T, 3.0 * T], knots])
+    scalar = [schedule(float(x)) for x in t]
+    assert all(type(v) is float for v in scalar)
+    assert np.array_equal(
+        np.array(scalar).view(np.int64), np.asarray(schedule(t), dtype=np.float64).view(np.int64)
+    )
+    assert schedule(3) == schedule(3.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"form": "constant", "period": 1.0, "value": NAN},
+        {"form": "constant", "period": 1.0, "value": INF},
+        {"form": "constant", "period": INF, "value": 1.0},
+        {"form": "constant", "period": "x", "value": 1.0},
+        {"form": "constant", "period": 1.0, "value": "1.0"},
+        {"form": "sinusoid", "period": 1.0, "mean": NAN, "amplitude": 0.5},
+        {"form": "sinusoid", "period": 1.0, "mean": 1.0, "amplitude": NAN},
+        {"form": "sinusoid", "period": 1.0, "mean": INF, "amplitude": 0.5},
+        {"form": "sinusoid", "period": 1.0, "mean": 1.7e308, "amplitude": 1e308},
+        {"form": "fourier", "period": 1.0, "mean": NAN, "sin": [0.3]},
+        {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.1, NAN]},
+        {"form": "fourier", "period": 1.0, "mean": 1.0, "sin": [INF]},
+        {"form": "fourier", "period": 1.0, "mean": 1.0, "sin": 0.3},
+        {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": ["a"]},
+        {"form": "piecewise", "period": 1.0, "times": [0.0, NAN, 1.0], "values": [1.0, 2.0, 1.0]},
+        {"form": "piecewise", "period": 1.0, "times": [0.0, 0.5, 1.0], "values": [1.0, INF, 1.0]},
+        {"form": "piecewise", "period": 1.0, "times": [0.0, 0.5, 1.0], "values": [NAN, 2.0, NAN]},
+        {"form": "piecewise", "period": 1.0, "times": 1.0, "values": [1.0, 1.0]},
+    ],
+)
+def test_non_finite_parameters_rejected(spec):
+    with pytest.raises(ScheduleError):
+        schedule_from_spec(spec)
+
+
 class TestFromSpec:
     def test_all_forms(self):
         assert isinstance(

@@ -6,12 +6,14 @@ import pytest
 
 from tumordyn import (
     Classification,
+    ConstantSchedule,
     ModelParams,
     SinusoidSchedule,
     classify_radial,
     extinction_diagnostics,
     integrate,
     p0,
+    radial,
     rhs,
 )
 
@@ -54,6 +56,18 @@ class TestRhs:
 
 
 class TestIntegrate:
+    def test_right_side_is_module_rhs(self, default_params, monkeypatch):
+        calls = []
+
+        def counting_rhs(params, t, R):
+            calls.append(R)
+            return rhs(params, t, R)
+
+        monkeypatch.setattr(radial, "rhs", counting_rhs)
+        traj = integrate(default_params, 1.0, 0.0, 1.0)
+        assert len(calls) == traj.nfev
+        assert all(type(R) is float for R in calls)
+
     def test_dense_output_matches_nodes(self, default_params):
         traj = integrate(default_params, 1.0, 0.0, 3.0)
         assert traj(traj.times[5]) == pytest.approx(traj.radii[5], rel=1e-12)
@@ -125,3 +139,14 @@ class TestExtinctionDiagnostics:
         report = extinction_diagnostics(params, 1.0, 10)
         assert len(report.period_times) == 11
         assert report.period_times[-1] == pytest.approx(10.0)
+
+    def test_constant_supply_below_sigma(self):
+        # Phi_max < sigma_tilde: dR/dt < 0 throughout, so R(kT) itself is the
+        # within-period cap and must not be flagged
+        params = ModelParams(
+            mu=1.0, sigma_tilde=1.1, gamma=1.0, schedule=ConstantSchedule(period=1.0, value=1.0)
+        )
+        report = extinction_diagnostics(params, 1.0, 30)
+        assert report.nonincreasing_ok
+        assert report.cap_ok
+        assert report.violations == []

@@ -43,6 +43,38 @@ class TestP0:
             p0(bad)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestP0FloatPath:
+    """A float takes its own path through p0; it must match the array path bit for bit."""
+
+    GRID = np.concatenate(
+        [
+            np.logspace(-6, 4, 4001),
+            np.linspace(0.3 - 1e-3, 0.3 + 1e-3, 2001),
+            np.nextafter(0.3, [0.0, 1.0]),
+            [0.3],
+        ]
+    )
+
+    def test_bit_equal_to_array_path(self):
+        scalar = np.array([p0(float(r)) for r in self.GRID])
+        assert np.array_equal(_bits(scalar), _bits(p0(self.GRID)))
+
+    def test_returns_python_float(self):
+        for r in (1e-3, 0.29, 0.3, 2.0, np.float64(5.0)):
+            assert type(p0(r)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), np.float64("nan")])
+    def test_float_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            p0(bad)
+        with pytest.raises(ValueError):
+            p0(np.array([1.0, bad]))
+
+
 class TestPn:
     def test_matches_p0(self):
         for r in (0.1, 1.0, 5.0, 20.0):

@@ -8,6 +8,7 @@ from tumordyn import (
     NoPeriodicSolutionError,
     Verdict,
     analyze,
+    classify_stability,
     convergence_rate,
     evolve_mode,
     find_periodic,
@@ -165,3 +166,24 @@ class TestAnalyze:
         base = analyze(constant_params, n_max=2)
         report = analyze(replace(constant_params, mu=base.mu_star), n_max=2)
         assert report.verdict is Verdict.MARGINAL
+
+
+class TestClassifyStability:
+    @pytest.mark.parametrize(
+        "mu, verdict",
+        [
+            (1.0, Verdict.LINEARLY_STABLE),
+            (2.0 * (1.0 - 2e-8), Verdict.LINEARLY_STABLE),
+            (2.0 * (1.0 - 1e-9), Verdict.MARGINAL),
+            (2.0, Verdict.MARGINAL),
+            (2.0 * (1.0 + 1e-9), Verdict.MARGINAL),
+            (2.0 * (1.0 + 2e-8), Verdict.LINEARLY_UNSTABLE),
+            (3.0, Verdict.LINEARLY_UNSTABLE),
+        ],
+    )
+    def test_band(self, mu, verdict):
+        assert classify_stability(mu, 2.0) is verdict
+
+    def test_band_width(self):
+        assert classify_stability(1.05, 1.0, band=0.1) is Verdict.MARGINAL
+        assert classify_stability(1.05, 1.0, band=0.0) is Verdict.LINEARLY_UNSTABLE

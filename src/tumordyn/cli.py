@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +192,13 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
 
 def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
     opts = config.options.get("stability", {})
+    n_max = opts.get("n_max", n_max)
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 2:
+        raise ConfigError(f"stability.n_max must be an integer >= 2, got {n_max!r}")
     params = config.params
     report = stability.analyze(
         params,
-        n_max=int(opts.get("n_max", n_max)),
+        n_max=n_max,
         self_consistent=bool(opts.get("self_consistent", False)),
     )
     exponents = [
@@ -206,10 +209,6 @@ def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
         out / "report.json",
         {
             "params": _params_summary(params),
-            "mu": params.mu,
-            "sigma_tilde": params.sigma_tilde,
-            "gamma": params.gamma,
-            "T": params.period,
             "mu_star": report.mu_star,
             "self_consistent_mu_star": report.self_consistent_mu_star,
             "thresholds": list(report.thresholds),
@@ -226,8 +225,6 @@ def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
 
 def _sweep_row(args) -> dict:
     params, mu, sigma = args
-    from dataclasses import replace
-
     row = {"mu": mu, "sigma_tilde": sigma, "error": ""}
     try:
         trial = replace(params, mu=mu, sigma_tilde=sigma)
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1, help="sweep worker count")
     parser.add_argument("--tol-rtol", type=float, default=1e-10)
     parser.add_argument("--tol-atol", type=float, default=1e-12)
-    parser.add_argument("--n-max", type=int, default=32)
+    parser.add_argument("--n-max", type=int, default=stability.DEFAULT_N_MAX)
     return parser
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import stability
 from .periodic import PeriodicSolution
 from .radial import rhs
 from .specfun import p0, pn
@@ -131,15 +132,13 @@ def perturbed_surface(
     to time t with the mode dynamics before the harmonics are summed.  The
     real part of the harmonic sum is exported.
     """
-    from .stability import evolve_mode
-
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     th, ph = np.meshgrid(thetas, phis, indexing="ij")
     base = orbit(t)
     total = np.zeros_like(th, dtype=complex)
     for n, m, rho0 in modes:
-        amp = evolve_mode(orbit, n, m, rho0, t)
+        amp = stability.evolve_mode(orbit, n, m, rho0, t)
         total += amp * spherical_harmonic(n, m, th, ph)
     deviation = epsilon * np.real(total)
     if deviation.size and np.max(np.abs(deviation)) > 0.1 * orbit.R_min:

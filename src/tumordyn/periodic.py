@@ -74,6 +74,20 @@ def poincare_map(
     return float(traj.radii[-1])
 
 
+def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on the intervals between
+    consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
+    to edges[-1] - edges[0]."""
+    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
+    lo = edges[:-1]
+    hi = edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wq = (half[:, None] * w[None, :]).ravel()
+    return tq, wq
+
+
 @dataclass
 class PeriodicSolution:
     """One dense period of the unique positive periodic radius orbit."""
@@ -104,13 +118,7 @@ class PeriodicSolution:
         Returns (t_nodes, weights, R_nodes); weights sum to the period.
         """
         if self._quad is None:
-            x, w = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
-            lo = self.times[:-1]
-            hi = self.times[1:]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-            wq = (half[:, None] * w[None, :]).ravel()
+            tq, wq = gauss_nodes(self.times)
             rq = self._interp(tq)[0]
             self._quad = (tq, wq, rq)
         return self._quad

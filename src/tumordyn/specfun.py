@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-DEFAULT_N_MAX = 64
-
 _CF_TINY = 1e-300
 _CF_TOL = 1e-15
 _CF_MAX_ITER = 100000
@@ -32,13 +30,10 @@ def _as_positive_array(r):
     return arr
 
 
-def _check_order(n: int, n_max: int) -> int:
+def _check_order(n: int) -> int:
     if n != int(n) or n < 0:
         raise ValueError(f"order n must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    if n > n_max:
-        raise ValueError(f"order n={n} exceeds n_max={n_max}")
-    return n
+    return int(n)
 
 
 def _ratio_cf(nu: float, r: np.ndarray) -> np.ndarray:
@@ -97,12 +92,12 @@ def _pn_impl(n: int, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def pn(n: int, r, n_max: int = DEFAULT_N_MAX):
+def pn(n: int, r):
     """P_n(r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r)).
 
     Strictly decreasing in both n and r, with 0 < P_n(r) <= 1/(2n+3).
     """
-    n = _check_order(n, n_max)
+    n = _check_order(n)
     arr = _as_positive_array(r)
     out = _pn_impl(n, np.atleast_1d(arr))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
@@ -142,7 +137,7 @@ def p0(r):
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def pn_derivative(n: int, r, n_max: int = DEFAULT_N_MAX):
+def pn_derivative(n: int, r):
     """dP_n/dr, always negative.
 
     Away from the origin it follows from the Bessel derivative identities:
@@ -150,7 +145,7 @@ def pn_derivative(n: int, r, n_max: int = DEFAULT_N_MAX):
     P_n'(r) = [1 - (2n+3) P_n - r^2 P_n^2] / r.  Near the origin that
     bracket cancels to O(r^2), so a series branch takes over.
     """
-    n = _check_order(n, n_max)
+    n = _check_order(n)
     arr = _as_positive_array(r)
     a = np.atleast_1d(arr)
     out = np.empty_like(a)

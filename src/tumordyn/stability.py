@@ -10,6 +10,9 @@ The period average of that integrand is the mode exponent Lambda_n (the
 closed-form (n-1)*dlogR*/dt term integrates to zero over full periods and is
 kept out of Lambda_n).  Mode n decays iff mu < theta_n, and the critical
 proliferation coefficient is mu_star = theta_2.
+
+The integrand is evaluated in one place, ``_mode_integrals``, on composite
+Gauss-Legendre nodes from ``periodic.gauss_nodes``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoPeriodicSolutionError, SolverError
-from .periodic import PeriodicSolution, find_periodic
+from .periodic import PeriodicSolution, find_periodic, gauss_nodes
 from .radial import ModelParams
 from .specfun import pn
 
@@ -53,33 +56,41 @@ def classify_stability(mu: float, theta2: float, band: float = MARGINAL_BAND) ->
     return Verdict.LINEARLY_UNSTABLE
 
 
-def _surface_tension_integral(orbit: PeriodicSolution) -> float:
-    """Int over one period of 1/R*^3."""
-    _, wq, rq = orbit.quadrature()
-    return float(np.sum(wq / rq**3))
-
-
-def _proliferation_integral(orbit: PeriodicSolution, n: int) -> float:
-    """Int over one period of Phi * R*^2 * P0(R*) * (P1(R*) - Pn(R*))."""
-    tq, wq, rq = orbit.quadrature()
-    phi = orbit.params.schedule(tq)
-    p0q = pn(0, rq)
+def _mode_integrals(
+    params: ModelParams, tq: np.ndarray, wq: np.ndarray, rq: np.ndarray, ns
+) -> tuple[float, list[float]]:
+    """The two parts of the mode integral on the nodes tq (weights wq, radii
+    rq = R*(tq)): Int 1/R*^3 and, for each n in ns,
+    Int Phi * R*^2 * P0(R*) * (P1(R*) - Pn(R*))."""
     p1q = pn(1, rq)
-    pnq = p1q if n == 1 else pn(n, rq)
-    return float(np.sum(wq * phi * rq**2 * p0q * (p1q - pnq)))
+    weighted = wq * params.schedule(tq) * rq**2 * pn(0, rq)
+    prolif = [float(np.sum(weighted * (p1q - pn(n, rq)))) for n in ns]
+    return float(np.sum(wq / rq**3)), prolif
 
 
-def _mode_coefficient(n: int) -> float:
-    return n * (n * (n + 1) / 2.0 - 1.0)
+def _curvature_part(params: ModelParams, n: int, tension: float) -> float:
+    """gamma * n(n(n+1)/2 - 1) times Int 1/R*^3."""
+    return params.gamma * (n * (n * (n + 1) / 2.0 - 1.0)) * tension
+
+
+def _threshold(params: ModelParams, n: int, tension: float, prolif: float) -> float:
+    return _curvature_part(params, n, tension) / prolif
+
+
+def _exponent(
+    orbit: PeriodicSolution, n: int, mu: float, tension: float, prolif: float
+) -> ModeExponent:
+    T = orbit.period
+    lam = (_curvature_part(orbit.params, n, tension) - mu * prolif) / T
+    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=math.exp(-lam * T))
 
 
 def theta_n(orbit: PeriodicSolution, n: int) -> float:
     """Threshold theta_n: mode n decays iff mu < theta_n (n >= 2)."""
     if n < 2:
         raise ValueError("theta_n is defined for n >= 2 (theta_0 = theta_1 = infinity)")
-    num = orbit.params.gamma * _mode_coefficient(n) * _surface_tension_integral(orbit)
-    den = _proliferation_integral(orbit, n)
-    return num / den
+    tension, (prolif,) = _mode_integrals(orbit.params, *orbit.quadrature(), [n])
+    return _threshold(orbit.params, n, tension, prolif)
 
 
 def mode_exponent(
@@ -96,12 +107,8 @@ def mode_exponent(
     n = int(n)
     if mu is None:
         mu = orbit.params.mu
-    T = orbit.period
-    lam = (
-        orbit.params.gamma * _mode_coefficient(n) * _surface_tension_integral(orbit)
-        - mu * _proliferation_integral(orbit, n)
-    ) / T
-    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=math.exp(-lam * T))
+    tension, (prolif,) = _mode_integrals(orbit.params, *orbit.quadrature(), [n])
+    return _exponent(orbit, n, mu, tension, prolif)
 
 
 def mu_star(
@@ -164,30 +171,14 @@ def evolve_mode(
     k = int(math.floor(t / T))
     tau = t - k * T
     lam = mode_exponent(orbit, n).lambda_bar
-    integral = k * lam * T + _partial_integral(orbit, n, tau)
+    integral = k * lam * T
+    if tau > 0.0:
+        params = orbit.params
+        tq, wq = gauss_nodes(orbit.t0 + np.linspace(0.0, tau, 257))
+        tension, (prolif,) = _mode_integrals(params, tq, wq, orbit(tq), [n])
+        integral += _curvature_part(params, n, tension) - params.mu * prolif
     prefactor = (orbit.R_star0 / orbit(orbit.t0 + t)) ** (n - 1)
     return rho0 * prefactor * math.exp(-integral)
-
-
-def _partial_integral(orbit: PeriodicSolution, n: int, tau: float) -> float:
-    """Int_0^tau of the mode integrand over a fraction of a period."""
-    if tau <= 0.0:
-        return 0.0
-    params = orbit.params
-    x, w = np.polynomial.legendre.leggauss(8)
-    edges = orbit.t0 + np.linspace(0.0, tau, 257)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wq = (half[:, None] * w[None, :]).ravel()
-    rq = orbit(tq)
-    p0q = pn(0, rq)
-    p1q = pn(1, rq)
-    pnq = p1q if n == 1 else pn(n, rq)
-    integrand = params.gamma * _mode_coefficient(n) / rq**3 - params.mu * params.schedule(
-        tq
-    ) * rq**2 * p0q * (p1q - pnq)
-    return float(np.sum(wq * integrand))
 
 
 @dataclass
@@ -213,13 +204,15 @@ def mode_decay_bound_check(
     (mu/theta2)(theta2/mu - 1) * gamma / (4 R_max^3), up to slack."""
     if mu is None:
         mu = orbit.params.mu
-    theta2 = theta_n(orbit, 2)
+    ns = list(n_range)
+    tension, prolif = _mode_integrals(orbit.params, *orbit.quadrature(), [2, *ns])
+    theta2 = _threshold(orbit.params, 2, tension, prolif[0])
     if mu >= theta2:
         raise ValueError("decay bound check requires the stable regime mu < theta_2")
     per_mode = []
     nonpositive = []
-    for n in n_range:
-        lam = mode_exponent(orbit, n, mu=mu).lambda_bar
+    for n, p in zip(ns, prolif[1:]):
+        lam = _exponent(orbit, n, mu, tension, p).lambda_bar
         per_mode.append((n, lam / (n**3 + 1)))
         if lam <= 0.0:
             nonpositive.append(n)
@@ -258,12 +251,16 @@ def analyze(
     params: ModelParams,
     n_max: int = DEFAULT_N_MAX,
     self_consistent: bool = False,
-    marginal_band: float = MARGINAL_BAND,
 ) -> StabilityReport:
-    """Full per-mode stability report at the given parameters."""
+    """Full per-mode stability report at the given parameters (n_max >= 2)."""
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max!r}")
     orbit = find_periodic(params)
-    thresholds = np.array([theta_n(orbit, n) for n in range(2, n_max + 1)])
-    exponents = [mode_exponent(orbit, n) for n in range(0, n_max + 1)]
+    tension, prolif = _mode_integrals(params, *orbit.quadrature(), range(n_max + 1))
+    thresholds = np.array(
+        [_threshold(params, n, tension, prolif[n]) for n in range(2, n_max + 1)]
+    )
+    exponents = [_exponent(orbit, n, params.mu, tension, p) for n, p in enumerate(prolif)]
     crit = thresholds[0]
     sc = mu_star(params, self_consistent=True)[0] if self_consistent else None
     return StabilityReport(
@@ -273,5 +270,5 @@ def analyze(
         mu_star=crit,
         self_consistent_mu_star=sc,
         exponents=exponents,
-        verdict=classify_stability(params.mu, crit, marginal_band),
+        verdict=classify_stability(params.mu, crit),
     )

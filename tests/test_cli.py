@@ -81,10 +81,32 @@ class TestStability:
         assert report["mu_star"] == pytest.approx(64.0499443, rel=1e-6)
         assert len(report["thresholds"]) == 5
         assert report["self_consistent_mu_star"] is None
+        assert report["params"]["mu"] == 1.0 and "mu" not in report
         modes = (out / "modes.csv").read_text().splitlines()
         assert modes[0] == "n,theta_n,lambda_n"
         # modes 0 and 1 carry no threshold column entry
         assert modes[1].split(",")[1] == ""
+
+
+    def test_high_n_max(self, tmp_path):
+        cfg = write_config(tmp_path, extra={"stability": {"n_max": 100}})
+        out = tmp_path / "out"
+        assert run("stability", cfg, out) == 0
+        assert len((out / "modes.csv").read_text().splitlines()) == 1 + 101
+
+    @pytest.mark.parametrize("n_max", [1, 0, 2.5, "abc", True])
+    def test_bad_n_max(self, tmp_path, capsys, n_max):
+        cfg = write_config(tmp_path, extra={"stability": {"n_max": n_max}})
+        assert run("stability", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_bad_n_max_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        argv = ["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--n-max", "1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSweep:

@@ -114,10 +114,11 @@ class TestPn:
             recon = 1.0 / (2.0 * (nu + 1.0) / R_GRID + rho_n1)
             assert np.max(np.abs(recon / rho_n - 1.0)) <= 1e-12
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            pn(65, 1.0)
-        assert pn(80, 1.0, n_max=128) > 0.0
+    def test_high_orders_against_bessel_oracle(self):
+        # no order cap: orders past the stability report's default range
+        for n in (65, 100, 200):
+            for r in R_GRID[::10]:
+                assert pn(n, float(r)) == pytest.approx(pn_oracle(n, r), rel=1e-12)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

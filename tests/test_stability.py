@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from tumordyn import (
     NoPeriodicSolutionError,
@@ -15,6 +16,9 @@ from tumordyn import (
     mode_decay_bound_check,
     mode_exponent,
     mu_star,
+    p0,
+    pn,
+    rhs,
     theta_n,
 )
 
@@ -126,6 +130,29 @@ class TestEvolveMode:
         above = evolve_mode(default_orbit, 2, 0, 1.0, 1.0 + eps)
         assert below == pytest.approx(above, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    @pytest.mark.parametrize("periods", [0.37, 2.37])
+    def test_fractional_time_against_ode(self, default_params, default_orbit, n, periods):
+        # d log rho/dt = -(n-1) dlogR/dt - [gamma*n(n(n+1)/2-1)/R^3
+        #                 - mu*Phi*R^2*P0*(P1 - Pn)], integrated alongside R
+        p = default_params
+
+        def f(t, y):
+            R = y[0]
+            dR = rhs(p, t, R)
+            mode = p.gamma * n * (n * (n + 1) / 2 - 1) / R**3 - p.mu * p.schedule(
+                t
+            ) * R**2 * p0(R) * (pn(1, R) - pn(n, R))
+            return [dR, -(n - 1) * dR / R - mode]
+
+        t = periods * default_orbit.period
+        sol = solve_ivp(
+            f, (0.0, t), [default_orbit.R_star0, 0.0], method="DOP853", rtol=1e-13, atol=1e-14
+        )
+        assert sol.success
+        got = evolve_mode(default_orbit, n, 0, 1.0, t)
+        assert got == pytest.approx(math.exp(sol.y[1, -1]), rel=1e-9)
+
     def test_bad_inputs(self, default_orbit):
         with pytest.raises(ValueError):
             evolve_mode(default_orbit, 2, 3, 1.0, 0.5)
@@ -141,6 +168,13 @@ class TestDecayBound:
         assert not report.nonpositive_modes
         assert report.delta_hat >= 0.95 * report.candidate_floor
 
+    def test_per_mode_equals_mode_exponent(self, default_orbit):
+        mu = 0.5 * theta_n(default_orbit, 2)
+        report = mode_decay_bound_check(default_orbit, n_range=range(2, 41), mu=mu)
+        assert report.theta2 == theta_n(default_orbit, 2)
+        for n, value in report.per_mode:
+            assert value == mode_exponent(default_orbit, n, mu=mu).lambda_bar / (n**3 + 1)
+
     def test_rejects_unstable_regime(self, default_orbit):
         theta2 = theta_n(default_orbit, 2)
         with pytest.raises(ValueError):
@@ -154,6 +188,17 @@ class TestAnalyze:
         assert report.mu_star == pytest.approx(64.0499443, rel=1e-6)
         assert len(report.thresholds) == 7
         assert len(report.exponents) == 9
+
+    def test_equals_per_mode_calls(self, default_params):
+        report = analyze(default_params, n_max=40)
+        for n, theta in enumerate(report.thresholds, start=2):
+            assert theta == theta_n(report.orbit, n)
+        for n, e in enumerate(report.exponents):
+            assert e == mode_exponent(report.orbit, n)
+
+    def test_n_max_below_two_rejected(self, default_params):
+        with pytest.raises(ValueError):
+            analyze(default_params, n_max=1)
 
     def test_unstable_verdict(self, default_params):
         # at sigma_tilde = 0.5 the threshold sits near 0.426, so mu = 1 is above it

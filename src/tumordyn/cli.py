@@ -100,6 +100,10 @@ def load_config(path: Path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict) or any(
+        not isinstance(raw.get(s, {}), dict) for s in ("simulate", "periodic", "stability", "sweep")
+    ):
+        raise ConfigError("the config and its command sections must be JSON objects")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config version {raw.get('version')!r}; expected {CONFIG_VERSION}"
@@ -115,9 +119,28 @@ def load_config(path: Path) -> RunConfig:
             gamma=float(p["gamma"]),
             schedule=schedule,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid params section: {exc}") from exc
     return RunConfig(params=params, schedule_spec=raw["schedule"], options=raw)
+
+
+def _is_real(x) -> bool:
+    """A JSON number that fits a float; a bool is not a number here."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _positive(opts: dict, section: str, key: str, default: float) -> float:
+    x = opts.get(key, default)
+    if not (_is_real(x) and x > 0.0):
+        raise ConfigError(f"{section}.{key} must be a positive number, got {x!r}")
+    return float(x)
+
+
+def _count(opts: dict, section: str, key: str, default: int, low: int) -> int:
+    n = opts.get(key, default)
+    if type(n) is not int or n < low:
+        raise ConfigError(f"{section}.{key} must be an integer >= {low}, got {n!r}")
+    return n
 
 
 def _params_summary(params: ModelParams) -> dict:
@@ -135,13 +158,11 @@ def _params_summary(params: ModelParams) -> dict:
 
 def cmd_simulate(config: RunConfig, out: Path, rtol: float, atol: float) -> None:
     opts = config.options.get("simulate", {})
-    R0 = float(opts.get("R0", 1.0))
-    n_periods = int(opts.get("n_periods", 10))
-    if R0 <= 0 or n_periods < 1:
-        raise ConfigError("simulate requires R0 > 0 and n_periods >= 1")
+    R0 = _positive(opts, "simulate", "R0", 1.0)
+    n_periods = _count(opts, "simulate", "n_periods", 10, 1)
+    samples = _count(opts, "simulate", "samples_per_period", 64, 1)
     params = config.params
     T = params.period
-    samples = int(opts.get("samples_per_period", 64))
     t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
     traj = radial.integrate(params, R0, 0.0, n_periods * T, rtol=rtol, atol=atol, t_eval=t_eval)
     _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times, traj.radii))
@@ -167,12 +188,14 @@ def cmd_simulate(config: RunConfig, out: Path, rtol: float, atol: float) -> None
 
 def cmd_periodic(config: RunConfig, out: Path) -> None:
     opts = config.options.get("periodic", {})
+    tol = _positive(opts, "periodic", "tol", 1e-11)
+    rate_factor = _positive(opts, "periodic", "rate_R0_factor", 2.0)
+    # convergence_rate fits at least 4 periods after its 10-period burn-in
+    rate_periods = _count(opts, "periodic", "rate_n_periods", 30, 13)
     params = config.params
-    orbit = periodic_mod.find_periodic(params, tol=float(opts.get("tol", 1e-11)))
+    orbit = periodic_mod.find_periodic(params, tol=tol)
     _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times, orbit.radii))
 
-    rate_factor = float(opts.get("rate_R0_factor", 2.0))
-    rate_periods = int(opts.get("rate_n_periods", 30))
     fit = periodic_mod.convergence_rate(
         params, rate_factor * orbit.R_star0, rate_periods, orbit=orbit
     )
@@ -192,15 +215,12 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
 
 def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
     opts = config.options.get("stability", {})
-    n_max = opts.get("n_max", n_max)
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 2:
-        raise ConfigError(f"stability.n_max must be an integer >= 2, got {n_max!r}")
+    n_max = _count(opts, "stability", "n_max", n_max, 2)
+    self_consistent = opts.get("self_consistent", False)
+    if type(self_consistent) is not bool:
+        raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")
     params = config.params
-    report = stability.analyze(
-        params,
-        n_max=n_max,
-        self_consistent=bool(opts.get("self_consistent", False)),
-    )
+    report = stability.analyze(params, n_max=n_max, self_consistent=self_consistent)
     exponents = [
         {"n": e.mode, "lambda_bar": e.lambda_bar, "multiplier": e.floquet_multiplier}
         for e in report.exponents
@@ -244,10 +264,12 @@ def _sweep_row(args) -> dict:
 
 def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
     opts = config.options.get("sweep", {})
-    mu_grid = [float(m) for m in opts.get("mu_grid", [config.params.mu])]
-    sigma_grid = [float(s) for s in opts.get("sigma_grid", [config.params.sigma_tilde])]
-    if not mu_grid or not sigma_grid:
-        raise ConfigError("sweep grids must be non-empty")
+    grids = [opts.get("mu_grid", [config.params.mu]), opts.get("sigma_grid", [config.params.sigma_tilde])]
+    if not all(type(g) is list and g and all(map(_is_real, g)) for g in grids):
+        raise ConfigError("sweep grids must be non-empty lists of finite numbers")
+    mu_grid, sigma_grid = ([float(x) for x in g] for g in grids)
+    if min(mu_grid) <= 0.0 or min(sigma_grid) < 0.0:
+        raise ConfigError("sweep grids need mu > 0 and sigma_tilde >= 0")
     if any(b <= a for a, b in zip(mu_grid, mu_grid[1:])) or any(
         b <= a for a, b in zip(sigma_grid, sigma_grid[1:])
     ):

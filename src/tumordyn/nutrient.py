@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ScheduleError
+from .roots import refine_extremum
 
 _SCAN_SAMPLES = 4096
 
@@ -169,20 +169,18 @@ class FourierSchedule(NutrientSchedule):
         # zero-mean harmonics: the period mean is exactly the constant term
         tau = np.linspace(0.0, self.period, _SCAN_SAMPLES, endpoint=False)
         vals = self._value(tau)
-        hi = self._refine(tau, vals, np.argmax(vals), sign=-1.0)
-        lo = self._refine(tau, vals, np.argmin(vals), sign=1.0)
-        return (self.mean_level, hi, lo)
-
-    def _refine(self, tau, vals, idx, sign):
         h = self.period / _SCAN_SAMPLES
-        a, b = tau[idx] - h, tau[idx] + h
-        res = minimize_scalar(
-            lambda t: sign * float(self._value(np.asarray(t))),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-13},
+        hi, lo = (
+            refine_extremum(self._slope, self._value, tau[i] - h, tau[i] + h, vals[i], pick, 1e-13)
+            for i, pick in ((int(np.argmax(vals)), max), (int(np.argmin(vals)), min))
         )
-        return sign * res.fun
+        return (self.mean_level, float(hi), float(lo))
+
+    def _slope(self, tau):
+        """dPhi/dt at tau, up to the positive factor 2*pi/T."""
+        w = 2.0 * math.pi * tau / self.period
+        down = sum(k * a * math.sin(k * w) for k, a in enumerate(self.cos_coeffs, start=1))
+        return sum(k * b * math.cos(k * w) for k, b in enumerate(self.sin_coeffs, start=1)) - down
 
     def _stats(self):
         return self._cached

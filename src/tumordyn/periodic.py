@@ -2,27 +2,25 @@
 
 The Poincare map F(R0) = R(T) is a monotone self-map of the bracket
 [x_bar, x2] built from P0^{-1}; its unique fixed point seeds the periodic
-orbit.  Root finding is bisection (the bracket signs are guaranteed) followed
-by secant polish.
+orbit.  The bracket signs are guaranteed, so the fixed point is a root of
+F(R0) - R0 found by Brent's method (``roots.find_root``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
-from .radial import ModelParams, integrate
+from .radial import ModelParams, integrate, rhs
+from .roots import find_root, refine_extremum
 from .specfun import p0_inverse, pn_derivative
 
 POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_SEGMENTS = 1024
-_X2_CAP_RATIO = 1e-6
 _QUAD_NODES_PER_SEGMENT = 8
 
 
@@ -31,8 +29,6 @@ def bracket(params: ModelParams) -> tuple[float, float]:
 
     x2 = P0^{-1}(sigma_tilde / (3 Phi_max)) and
     x_bar = P0^{-1}(sigma_tilde / (3 mean Phi)) * exp(-mu (Phi_max - sigma_tilde) T / 3).
-    For tiny sigma_tilde the upper endpoint is capped (and find_periodic
-    expands it again only if needed).
     """
     mean, phi_max, _ = params.schedule.stats()
     if params.sigma_tilde >= mean:
@@ -43,15 +39,7 @@ def bracket(params: ModelParams) -> tuple[float, float]:
         raise NoPeriodicSolutionError(
             "no positive periodic solution: sigma_tilde must be positive"
         )
-    y2 = params.sigma_tilde / (3.0 * phi_max)
-    if y2 < _X2_CAP_RATIO:
-        warnings.warn(
-            f"sigma_tilde/(3*Phi_max) = {y2:.3e} < {_X2_CAP_RATIO}; "
-            "capping the upper bracket endpoint",
-            stacklevel=2,
-        )
-        y2 = _X2_CAP_RATIO
-    x2 = p0_inverse(y2)
+    x2 = p0_inverse(params.sigma_tilde / (3.0 * phi_max))
     growth = math.exp(
         -params.mu * (phi_max - params.sigma_tilde) * params.period / 3.0
     )
@@ -134,56 +122,18 @@ def find_periodic(
     x_bar, x2 = bracket(params)
 
     def G(r0: float) -> float:
-        return poincare_map(params, r0, t0=t0) - r0
+        return (poincare_map(params, r0, t0=t0) - r0) / min(1.0, r0)
 
     g_lo = G(x_bar)
     g_hi = G(x2)
-    # capped upper endpoint: expand until the map pulls inward
-    expansions = 0
-    while g_hi > 0.0 and expansions < 60:
-        x2 *= 2.0
-        g_hi = G(x2)
-        expansions += 1
     slack = 1e-9
-    if g_lo < -slack * x_bar or g_hi > slack * x2:
+    if g_lo < -slack * max(1.0, x_bar) or g_hi > slack * max(1.0, x2):
         raise SolverError(
             "Poincare map bracket sign condition violated beyond tolerance; "
             "tighten integrator tolerances"
         )
-
-    a, fa, b, fb = x_bar, g_lo, x2, g_hi
-    while b - a > 1e-3 * b:
-        m = 0.5 * (a + b)
-        fm = G(m)
-        if fm >= 0.0:
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-
-    # secant polish inside [a, b]; meet tol both relative and absolute
-    r_prev, f_prev = a, fa
-    r, f = b, fb
-    for _ in range(60):
-        if abs(f) <= tol * min(1.0, r):
-            break
-        denom = f - f_prev
-        if denom == 0.0:
-            r_new = 0.5 * (a + b)
-        else:
-            r_new = r - f * (r - r_prev) / denom
-            if not a <= r_new <= b:
-                r_new = 0.5 * (a + b)
-        r_prev, f_prev = r, f
-        r = r_new
-        f = G(r)
-        if f >= 0.0:
-            a = max(a, r)
-        else:
-            b = min(b, r)
-    if abs(f) > tol * min(1.0, r):
-        raise SolverError(
-            f"fixed-point residual {abs(f):.3e} exceeds tolerance {tol * min(1.0, r):.3e}"
-        )
+    # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
+    r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
     t_eval = t0 + np.linspace(0.0, params.period, n_segments + 1)
     traj = integrate(
@@ -191,9 +141,9 @@ def find_periodic(
         rtol=POINCARE_RTOL, atol=POINCARE_ATOL, t_eval=t_eval,
     )
     residual = abs(float(traj.radii[-1]) - r)
-
-    radii = traj.radii
-    r_min, r_max = _refine_extrema(traj, t_eval, radii)
+    if residual > tol * min(1.0, r):
+        raise SolverError(f"fixed-point residual {residual:.3e} exceeds tolerance {tol * min(1.0, r):.3e}")
+    r_min, r_max = _refine_extrema(params, traj)
 
     return PeriodicSolution(
         params=params,
@@ -201,7 +151,7 @@ def find_periodic(
         period=params.period,
         R_star0=r,
         times=traj.times,
-        radii=radii,
+        radii=traj.radii,
         R_min=r_min,
         R_max=r_max,
         residual=residual,
@@ -210,19 +160,21 @@ def find_periodic(
     )
 
 
-def _refine_extrema(traj, t_eval, radii):
-    out = []
-    for sign, idx in ((1.0, int(np.argmin(radii))), (-1.0, int(np.argmax(radii)))):
-        lo = t_eval[max(idx - 1, 0)]
-        hi = t_eval[min(idx + 1, len(t_eval) - 1)]
-        res = minimize_scalar(
-            lambda t: sign * float(traj._interp(t)[0]),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        out.append(sign * res.fun)
-    return out[0], out[1]
+def _refine_extrema(params, traj):
+    """R_min and R_max, refined where dR/dt changes sign next to the extreme samples."""
+
+    def radius(t: float) -> float:
+        return float(traj._interp(t)[0])
+
+    def slope(t: float) -> float:
+        return rhs(params, t, radius(t))
+
+    ts, rs = traj.times, traj.radii
+    return tuple(
+        refine_extremum(slope, radius, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)],
+                        float(rs[i]), pick, 1e-12)
+        for i, pick in ((int(np.argmin(rs)), min), (int(np.argmax(rs)), max))
+    )
 
 
 @dataclass

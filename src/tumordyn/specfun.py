@@ -15,6 +15,9 @@ import math
 
 import numpy as np
 
+from .errors import SolverError
+from .roots import find_root
+
 _CF_TINY = 1e-300
 _CF_TOL = 1e-15
 _CF_MAX_ITER = 100000
@@ -41,18 +44,20 @@ def _ratio_cf(nu: float, r: np.ndarray) -> np.ndarray:
     f = np.full(r.shape, _CF_TINY)
     c = f.copy()
     d = np.zeros_like(r)
-    for j in range(1, _CF_MAX_ITER + 1):
-        b = 2.0 * (nu + j) / r
-        d = b + d
-        d[d == 0.0] = _CF_TINY
-        c = b + 1.0 / c
-        c[c == 0.0] = _CF_TINY
-        d = 1.0 / d
-        delta = c * d
-        f = f * delta
-        if j > 1 and np.all(np.abs(delta - 1.0) < _CF_TOL):
-            return f
-    raise RuntimeError("Bessel ratio continued fraction did not converge")
+    # beyond r ~ 1e8 the first step overflows: settling on inf is no convergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, _CF_MAX_ITER + 1):
+            b = 2.0 * (nu + j) / r
+            d = b + d
+            d[d == 0.0] = _CF_TINY
+            c = b + 1.0 / c
+            c[c == 0.0] = _CF_TINY
+            d = 1.0 / d
+            delta = c * d
+            f = f * delta
+            if j > 1 and np.all(np.abs(delta - 1.0) < _CF_TOL) and np.all(np.isfinite(f)):
+                return f
+    raise SolverError("Bessel ratio continued fraction did not converge")
 
 
 def _ratio_series(nu: float, r):
@@ -168,8 +173,8 @@ def pn_derivative(n: int, r):
 def p0_inverse(y: float, tol: float = 1e-13) -> float:
     """Unique r > 0 with P_0(r) = y, for y in (0, 1/3).
 
-    Bracketing bisection narrows the monotone-decreasing P_0, then Newton
-    steps (safeguarded to stay inside the bracket) polish the root.
+    P_0 decreases from 1/3 and P_0(r) < 1/r, so [1e-8, 1/y] brackets the
+    root; Brent's method stops once |P_0(r)/y - 1| <= tol.
     """
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise ValueError("target y must be a finite real number")
@@ -177,37 +182,8 @@ def p0_inverse(y: float, tol: float = 1e-13) -> float:
     if not 0.0 < y < 1.0 / 3.0:
         raise ValueError(f"target y={y} outside (0, 1/3)")
 
-    lo = 1e-8
-    hi = max(10.0, 3.0 / y)
-    while p0(hi) >= y:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket p0_inverse from above")
-    # p0(lo) rounds to 1/3 > y for any representable y < 1/3
+    def f(r: float) -> float:
+        return p0(r) / y - 1.0
 
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if p0(mid) > y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3 * hi:
-            break
-
-    r = 0.5 * (lo + hi)
-    for _ in range(60):
-        f = p0(r) - y
-        if abs(f) <= tol:
-            break
-        if f > 0.0:
-            lo = max(lo, r)
-        else:
-            hi = min(hi, r)
-        step = f / pn_derivative(0, r)
-        r_new = r - step
-        if not lo < r_new < hi:
-            r_new = 0.5 * (lo + hi)
-        if r_new == r:
-            break
-        r = r_new
-    return r
+    # rounding can make P_0(1/y) equal y, never exceed it
+    return find_root(f, 1e-8, 1.0 / y, f(1e-8), min(f(1.0 / y), 0.0), ftol=tol)

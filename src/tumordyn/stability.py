@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoPeriodicSolutionError, SolverError
 from .periodic import PeriodicSolution, find_periodic, gauss_nodes
 from .radial import ModelParams
+from .roots import find_root
 from .specfun import pn
 
 DEFAULT_N_MAX = 32
@@ -135,24 +135,17 @@ def mu_star(
 
     # walk a log grid; large mu can collapse the orbit radius below the
     # representable range, in which case no threshold exists numerically
-    lo, hi = None, None
-    prev_mu, prev_h = None, None
+    prev = None
     for exponent in range(-6, 7):
         mu_try = 10.0**exponent
         try:
             h_try = h(mu_try)
         except (SolverError, ValueError, OverflowError):
             break
-        if prev_h is not None and prev_h < 0.0 <= h_try:
-            lo, hi = prev_mu, mu_try
-            break
-        prev_mu, prev_h = mu_try, h_try
-    if lo is None:
-        raise NoPeriodicSolutionError(
-            "self-consistent mu_star not bracketed in [1e-6, 1e6]"
-        )
-    root = brentq(h, lo, hi, rtol=rel_tol, xtol=1e-12)
-    return float(root), True
+        if prev is not None and prev[1] < 0.0 <= h_try:
+            return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=rel_tol), True
+        prev = (mu_try, h_try)
+    raise NoPeriodicSolutionError("self-consistent mu_star not bracketed in [1e-6, 1e6]")
 
 
 def evolve_mode(

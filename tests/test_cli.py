@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tumordyn import specfun
 from tumordyn.cli import main
 
 BASE = {
@@ -203,6 +204,39 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("stability", {**BASE, "stability": {"self_consistent": "false"}}),
+            ("stability", {**BASE, "stability": {"self_consistent": 1}}),
+            ("sweep", {**BASE, "sweep": {"mu_grid": [-1, 1.0]}}),
+            ("sweep", {**BASE, "sweep": {"mu_grid": [0.5, float("inf")]}}),
+            ("sweep", {**BASE, "sweep": {"sigma_grid": [-0.5, 0.5]}}),
+            ("sweep", {**BASE, "sweep": {"mu_grid": "abc"}}),
+            ("simulate", {**BASE, "simulate": {"R0": "abc"}}),
+            ("simulate", {**BASE, "simulate": {"samples_per_period": 0}}),
+            ("simulate", {**BASE, "simulate": [1.0]}),
+            ("simulate", [BASE]),
+            ("periodic", {**BASE, "periodic": {"tol": -1}}),
+            ("periodic", {**BASE, "periodic": {"rate_n_periods": 2}}),
+        ],
+    )
+    def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert run(command, path, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_solver_failure_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a Bessel-ratio continued fraction that does not converge
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2)
+        assert run("periodic", write_config(tmp_path), tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "continued fraction" in err
 
     def test_invalid_params(self, tmp_path):
         cfg = write_config(tmp_path, mu=-1.0)

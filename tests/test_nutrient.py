@@ -75,6 +75,21 @@ class TestFourier:
         assert f.maximum == pytest.approx(1.4, abs=1e-10)
         assert f.minimum == pytest.approx(0.6, abs=1e-10)
 
+    def test_extrema_closed_form(self):
+        # one harmonic: mean +- hypot(a, b), attained between scan samples
+        f = FourierSchedule(period=1.7, mean_level=1.0, cos_coeffs=(0.3,), sin_coeffs=(0.4,))
+        assert f.maximum == pytest.approx(1.5, rel=1e-15)
+        assert f.minimum == pytest.approx(0.5, rel=1e-15)
+
+    def test_extrema_against_dense_scan(self):
+        f = FourierSchedule(
+            period=2.0, mean_level=1.0, cos_coeffs=(0.2, -0.15, 0.05), sin_coeffs=(0.1, 0.07)
+        )
+        vals = f(np.linspace(0.0, 2.0, 400_001))
+        # the scan misses the extremum by at most |Phi''| * h^2 / 8 ~ 1e-11
+        assert 0.0 <= f.maximum - vals.max() <= 1e-11
+        assert 0.0 <= vals.min() - f.minimum <= 1e-11
+
     def test_positivity(self):
         with pytest.raises(ScheduleError):
             FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(1.2,))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from tumordyn import (
     find_periodic,
     p0,
     p0_inverse,
+    periodic,
     poincare_map,
 )
 
@@ -29,9 +31,15 @@ class TestBracket:
         with pytest.raises(NoPeriodicSolutionError):
             bracket(replace(default_params, sigma_tilde=0.0))
 
-    def test_tiny_sigma_warns(self, default_params):
-        with pytest.warns(UserWarning):
-            bracket(replace(default_params, sigma_tilde=1e-7))
+    def test_tiny_sigma_uses_proof_endpoint(self, default_params):
+        params = replace(default_params, sigma_tilde=1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = bracket(params)
+            orbit = find_periodic(params)
+        assert hi == p0_inverse(1e-7 / (3.0 * params.schedule.maximum))
+        assert lo < orbit.R_star0 < hi
+        assert orbit.residual <= 1e-11 * min(1.0, orbit.R_star0)
 
     def test_endpoints_map_inward(self, default_params):
         lo, hi = bracket(default_params)
@@ -61,6 +69,25 @@ class TestFindPeriodic:
     def test_periodic_wraparound(self, default_orbit):
         assert default_orbit(0.25) == pytest.approx(default_orbit(7.25), rel=1e-10)
         assert default_orbit(0.0) == pytest.approx(default_orbit.R_star0, rel=1e-12)
+
+    def test_map_evaluations(self, default_params, monkeypatch):
+        calls = []
+        inner = periodic.poincare_map
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(periodic, "poincare_map", counted)
+        orbit = find_periodic(default_params)
+        assert orbit.residual <= 1e-11
+        assert len(calls) <= 8
+
+    def test_extrema_match_dense_scan(self, default_orbit):
+        rr = default_orbit(np.linspace(0.0, default_orbit.period, 400_001))
+        scale = default_orbit.R_star0
+        assert 0.0 <= np.min(rr) - default_orbit.R_min <= 1e-11 * scale
+        assert 0.0 <= default_orbit.R_max - np.max(rr) <= 1e-11 * scale
 
     def test_extrema_bound_samples(self, default_orbit):
         tt = np.linspace(0.0, 1.0, 500)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumordyn import p0, p0_inverse, pn, pn_derivative
+from tumordyn import SolverError, p0, p0_inverse, pn, pn_derivative, specfun
 
 mp.mp.dps = 40
 
@@ -124,6 +124,11 @@ class TestPn:
         with pytest.raises(ValueError):
             pn(-1, 1.0)
 
+    def test_non_convergence_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2)
+        with pytest.raises(SolverError):
+            pn(2, 50.0)
+
 
 class TestPnDerivative:
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
@@ -158,6 +163,12 @@ class TestP0Inverse:
     def test_known_root(self):
         # frozen from a 40-digit bisection/newton solve of coth(r)/r - 1/r^2 = 0.3
         assert p0_inverse(0.3) == pytest.approx(1.3219987430997790569, rel=1e-10)
+
+    @pytest.mark.parametrize("y", [1e-9, 1e-12])
+    def test_tiny_targets_against_oracle(self, y):
+        ym = mp.mpf(y)
+        root = mp.findroot(lambda r: mp.coth(r) / r - 1 / r**2 - ym, 1 / ym - 1)
+        assert p0_inverse(y) == pytest.approx(float(root), rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0 / 3.0, 0.5, -0.1, float("nan")])
     def test_domain_errors(self, bad):

@@ -112,6 +112,11 @@ def load_config(path: Path) -> RunConfig:
         raise ConfigError("config requires 'params' and 'schedule' sections")
     schedule = schedule_from_spec(raw["schedule"])
     p = raw["params"]
+    if not isinstance(p, dict):
+        raise ConfigError("the params section must be a JSON object")
+    for key in ("mu", "sigma_tilde", "gamma"):
+        if not _is_real(p.get(key)):
+            raise ConfigError(f"params.{key} must be a finite JSON number, got {p.get(key)!r}")
     try:
         params = ModelParams(
             mu=float(p["mu"]),
@@ -119,7 +124,7 @@ def load_config(path: Path) -> RunConfig:
             gamma=float(p["gamma"]),
             schedule=schedule,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid params section: {exc}") from exc
     return RunConfig(params=params, schedule_spec=raw["schedule"], options=raw)
 

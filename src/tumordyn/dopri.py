@@ -1,0 +1,180 @@
+"""Dormand-Prince 5(4) for one scalar state, step for step scipy's RK45.
+
+The pair of Dormand & Prince (1980) with local extrapolation and the quartic
+dense output of Shampine (1986), as in Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, sections II.4-II.6.  The controller is
+scipy's: its initial step selection, safety factor 0.9, step factors in
+[0.2, 10], a minimum step of 10 ulp(t) and no growth right after a rejection.
+
+The state is a Python float, but every stage sum, the solution and error
+rows and the dense coefficients go through ``np.dot`` on a (7, 1) stage array
+with the call shapes of scipy's ``rk_step``: numpy's dot may accumulate with
+fused multiply-adds, and plain float sums would round differently.  So the
+step sequence, the evaluation count and every value are those of
+``solve_ivp(method="RK45")``.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+
+from .errors import SolverError
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 5.0  # the error estimate is of order 4
+_MIN_RTOL = 100.0 * sys.float_info.epsilon
+
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# Shampine's dense output coefficients for his optimal c_6
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
+class DenseSolution:
+    """The piecewise quartic interpolant of every accepted step.
+
+    ``ts`` and ``ys`` hold the step ends and the solution there.  A time on
+    a step end belongs to the step that ends there; times outside
+    [ts[0], ts[-1]] use the first or last step's polynomial.
+    """
+
+    def __init__(self, ts, ys, qs):
+        self.ts = np.array(ts)
+        self.ys = np.array(ys)
+        self._qs = qs  # the (1, 4) dense coefficients of each step
+
+    def _segment_values(self, i, t):
+        t_old = self.ts[i]
+        h = self.ts[i + 1] - t_old
+        x = (t - t_old) / h
+        if t.ndim == 0:
+            p = np.cumprod(np.tile(x, 4))
+        else:
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        return h * np.dot(self._qs[i], p)[0] + self.ys[i]
+
+    def __call__(self, t):
+        """R at a time (a float) or at an array of times (an array)."""
+        t = np.asarray(t, dtype=float)
+        last = len(self._qs) - 1
+        if t.ndim == 0:
+            i = int(np.searchsorted(self.ts, t, side="left"))
+            return float(self._segment_values(min(max(i - 1, 0), last), t))
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(seg)]
+        values = np.concatenate([
+            self._segment_values(int(seg[a]), t_sorted[a:b]) for a, b in zip(cuts, cuts[1:])
+        ])
+        out = np.empty_like(values)
+        out[order] = values
+        return out
+
+
+def _norm(x: float) -> float:
+    """scipy's RMS norm of a one-element vector: sqrt(x*x), not |x|."""
+    return math.sqrt(x * x)
+
+
+def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
+    """First step size, as scipy's ``select_initial_step`` (HNW II.4)."""
+    interval = abs(t1 - t0)
+    scale = atol + abs(y0) * rtol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    if h0 == 0.0:  # d1 overflowed; scipy's h1 is then 0
+        return 0.0
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, interval)
+
+
+def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
+    """Integrate y' = fun(t, y) from t0 to t1 > t0 with a float state.
+
+    Returns (dense solution, number of fun calls).  An rtol below 100 eps
+    is raised to it, as scipy does.  SolverError if the step size falls
+    below 10 ulp(t).
+    """
+    if not atol > 0.0:
+        raise ValueError(f"atol must be positive, got {atol}")
+    rtol = max(rtol, _MIN_RTOL)
+    dot = np.dot
+    K = np.empty((7, 1))
+    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6)]
+    K_sol, K_all = K[:-1].T, K.T
+
+    t, y = t0, y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t1, rtol, atol)
+    nfev = 2
+    ts, ys, qs = [t0], [y0], []
+    while t < t1:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise SolverError(
+                    "integration failed: Required step size is less than "
+                    "spacing between numbers."
+                )
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+
+            K[0, 0] = f
+            for s, KT, a, c in stages:
+                K[s, 0] = fun(t + c * h, y + dot(KT, a).item() * h)
+            y_new = y + h * dot(K_sol, _B).item()
+            f_new = fun(t + h, y_new)
+            K[6, 0] = f_new
+            nfev += 6
+
+            scale = atol + max(abs(y), abs(y_new)) * rtol
+            error_norm = _norm(dot(K_all, _E).item() * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        qs.append(K_all.dot(_P))
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return DenseSolution(ts, ys, qs), nfev

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
 from .radial import ModelParams, integrate, rhs
 from .roots import find_root, refine_extremum
@@ -90,15 +91,13 @@ class PeriodicSolution:
     R_max: float
     residual: float
     bracket: tuple[float, float]
-    _interp: object = field(repr=False)
+    _interp: DenseSolution = field(repr=False)
     _quad: tuple | None = field(default=None, repr=False)
 
     def __call__(self, t):
         """R*(t) for any t, by wrapping into the stored period."""
         t = np.asarray(t, dtype=float)
-        tau = (t - self.t0) % self.period + self.t0
-        out = self._interp(tau)[0]
-        return float(out) if t.ndim == 0 else out
+        return self._interp((t - self.t0) % self.period + self.t0)
 
     def quadrature(self):
         """Cached composite Gauss-Legendre nodes over the stored period.
@@ -107,7 +106,7 @@ class PeriodicSolution:
         """
         if self._quad is None:
             tq, wq = gauss_nodes(self.times)
-            rq = self._interp(tq)[0]
+            rq = self._interp(tq)
             self._quad = (tq, wq, rq)
         return self._quad
 
@@ -163,8 +162,7 @@ def find_periodic(
 def _refine_extrema(params, traj):
     """R_min and R_max, refined where dR/dt changes sign next to the extreme samples."""
 
-    def radius(t: float) -> float:
-        return float(traj._interp(t)[0])
+    radius = traj._interp
 
     def slope(t: float) -> float:
         return rhs(params, t, radius(t))

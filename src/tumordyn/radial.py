@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dopri
 from .errors import SolverError
 from .nutrient import NutrientSchedule
 from .specfun import p0
@@ -62,7 +62,11 @@ def rhs(params: ModelParams, t: float, R: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Dense ODE solution R(t) on [t0, t1] with its interpolant."""
+    """Dense ODE solution R(t) on [t0, t1] with its interpolant.
+
+    ``times``/``radii`` are the accepted step ends, or the requested
+    ``t_eval`` points; ``steps`` counts accepted steps either way.
+    """
 
     times: np.ndarray
     radii: np.ndarray
@@ -70,14 +74,13 @@ class Trajectory:
     t1: float
     steps: int
     nfev: int
-    _interp: object = field(repr=False)
+    _interp: dopri.DenseSolution = field(repr=False)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t0 - 1e-12) or np.any(t > self.t1 + 1e-12):
             raise ValueError("evaluation time outside the integrated span")
-        out = self._interp(np.clip(t, self.t0, self.t1))[0]
-        return float(out) if t.ndim == 0 else out
+        return self._interp(np.clip(t, self.t0, self.t1))
 
 
 def integrate(
@@ -89,40 +92,37 @@ def integrate(
     atol: float = DEFAULT_ATOL,
     t_eval=None,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince (RK45) solve with dense output.
+    """Adaptive Dormand-Prince 5(4) solve with dense output (``dopri``).
 
     Positivity is verified on the accepted nodes; the right side treats
     non-positive trial radii as stationary so the integrator cannot step
     through zero.
     """
-    if not R0 > 0.0:
-        raise ValueError(f"initial radius must be positive, got {R0}")
+    if not (R0 > 0.0 and math.isfinite(R0)):
+        raise ValueError(f"initial radius must be positive and finite, got {R0}")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
+    if t_eval is not None:
+        t_eval = np.array(t_eval, dtype=float)
+        if t_eval.ndim != 1 or np.any(t_eval < t0) or np.any(t_eval > t1):
+            raise ValueError("t_eval must be a 1-D array of times within [t0, t1]")
+        if np.any(np.diff(t_eval) <= 0.0):
+            raise ValueError("t_eval must be strictly increasing")
 
-    sol = solve_ivp(
-        lambda t, y: [rhs(params, t, max(float(y[0]), 0.0))],
-        (t0, t1),
-        [R0],
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        t_eval=t_eval,
+    interp, nfev = dopri.solve(
+        lambda t, R: rhs(params, t, max(R, 0.0)), float(t0), float(R0), float(t1), rtol, atol
     )
-    if not sol.success:
-        raise SolverError(f"integration failed: {sol.message}")
-    radii = sol.y[0]
+    times, radii = (interp.ts, interp.ys) if t_eval is None else (t_eval, interp(t_eval))
     if np.any(radii <= 0.0):
         raise SolverError("integration produced a non-positive radius")
     return Trajectory(
-        times=sol.t,
+        times=times,
         radii=radii,
         t0=t0,
         t1=t1,
-        steps=len(sol.t) - 1,
-        nfev=sol.nfev,
-        _interp=sol.sol,
+        steps=len(interp.ts) - 1,
+        nfev=nfev,
+        _interp=interp,
     )
 
 

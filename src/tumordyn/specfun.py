@@ -40,22 +40,33 @@ def _check_order(n: int) -> int:
 
 
 def _ratio_cf(nu: float, r: np.ndarray) -> np.ndarray:
-    """I_{nu+1}(r)/I_nu(r) by the Gauss continued fraction, modified Lentz."""
+    """I_{nu+1}(r)/I_nu(r) by the Gauss continued fraction, modified Lentz.
+
+    Every iterate is formed in place in preallocated buffers.  A non-finite
+    f can never become finite again, so it fails at once.
+    """
     f = np.full(r.shape, _CF_TINY)
     c = f.copy()
     d = np.zeros_like(r)
-    # beyond r ~ 1e8 the first step overflows: settling on inf is no convergence
+    b = np.empty_like(r)
+    delta = np.empty_like(r)
+    mask = np.empty(r.shape, dtype=bool)
+    # beyond r ~ 1e8 the first step overflows, and f stays inf from then on
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, _CF_MAX_ITER + 1):
-            b = 2.0 * (nu + j) / r
-            d = b + d
-            d[d == 0.0] = _CF_TINY
-            c = b + 1.0 / c
-            c[c == 0.0] = _CF_TINY
-            d = 1.0 / d
-            delta = c * d
-            f = f * delta
-            if j > 1 and np.all(np.abs(delta - 1.0) < _CF_TOL) and np.all(np.isfinite(f)):
+            np.divide(2.0 * (nu + j), r, out=b)
+            np.add(b, d, out=d)
+            d[np.equal(d, 0.0, out=mask)] = _CF_TINY
+            np.divide(1.0, c, out=c)
+            np.add(b, c, out=c)
+            c[np.equal(c, 0.0, out=mask)] = _CF_TINY
+            np.divide(1.0, d, out=d)
+            np.multiply(c, d, out=delta)
+            np.multiply(f, delta, out=f)
+            if not np.isfinite(f, out=mask).all():
+                break
+            np.subtract(delta, 1.0, out=delta)
+            if j > 1 and np.less(np.abs(delta, out=delta), _CF_TOL, out=mask).all():
                 return f
     raise SolverError("Bessel ratio continued fraction did not converge")
 

@@ -220,6 +220,10 @@ class TestValidation:
             ("simulate", [BASE]),
             ("periodic", {**BASE, "periodic": {"tol": -1}}),
             ("periodic", {**BASE, "periodic": {"rate_n_periods": 2}}),
+            ("simulate", {**BASE, "params": {**BASE["params"], "mu": True}}),
+            ("simulate", {**BASE, "params": {**BASE["params"], "sigma_tilde": "0.9"}}),
+            ("simulate", {**BASE, "params": {**BASE["params"], "gamma": None}}),
+            ("simulate", {**BASE, "params": [1.0, 0.9, 1.0]}),
         ],
     )
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, config):

@@ -1,0 +1,113 @@
+"""The scalar Dormand-Prince integrator against scipy's RK45 as an oracle.
+
+``radial.integrate`` ports the RK45 controller and forms its sums with the
+same numpy calls, so step counts, evaluation counts and every value must be
+bitwise equal to ``solve_ivp(method="RK45")`` on the same right side.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from tumordyn import (
+    ConstantSchedule,
+    FourierSchedule,
+    ModelParams,
+    PiecewiseLinearSchedule,
+    SinusoidSchedule,
+    SolverError,
+    dopri,
+    integrate,
+    radial,
+)
+
+SCHEDULES = {
+    "constant": ConstantSchedule(period=1.0, value=1.0),
+    "sinusoid": SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5),
+    "fourier": FourierSchedule(
+        period=2.0, mean_level=1.0, cos_coeffs=(0.3, -0.1), sin_coeffs=(0.2, 0.05, 0.1)
+    ),
+    "piecewise": PiecewiseLinearSchedule(
+        period=1.5, knot_times=(0.0, 0.4, 0.9, 1.5), knot_values=(0.6, 1.5, 0.9, 0.6)
+    ),
+}
+
+CASES = [
+    # (schedule, mu, sigma_tilde, R0, periods, rtol, atol)
+    ("constant", 1.0, 0.5, 1.0, 3, 1e-10, 1e-12),
+    ("sinusoid", 1.0, 0.5, 1.0, 5, 1e-10, 1e-12),
+    ("fourier", 3.0, 0.6, 0.4, 3, 1e-8, 1e-10),
+    ("piecewise", 1.0, 0.5, 2.0, 4, 1e-12, 1e-14),
+    ("sinusoid", 1.0, 1.2, 1.0, 10, 1e-10, 1e-12),  # extinction
+    ("sinusoid", 100.0, 0.9, 0.3, 2, 1e-10, 1e-12),
+    ("fourier", 1.0, 0.3, 5.0, 2, 1e-6, 1e-8),
+    ("piecewise", 10.0, 0.8, 0.05, 3, 1e-9, 1e-11),
+    ("sinusoid", 0.1, 0.001, 3.0, 2, 1e-12, 1e-14),
+]
+
+
+def _oracle(params, R0, t1, rtol, atol, t_eval=None):
+    sol = solve_ivp(
+        lambda t, y: [radial.rhs(params, t, max(float(y[0]), 0.0))],
+        (0.0, t1),
+        [R0],
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+        dense_output=True,
+        t_eval=t_eval,
+    )
+    assert sol.success
+    return sol
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{c[0]}-mu{c[1]}-s{c[2]}-rtol{c[5]}" for c in CASES])
+def test_matches_rk45_bitwise(case):
+    form, mu, sigma, R0, periods, rtol, atol = case
+    params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=SCHEDULES[form])
+    t1 = periods * params.period
+    sol = _oracle(params, R0, t1, rtol, atol)
+    traj = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol)
+    assert traj.nfev == sol.nfev
+    assert traj.steps == len(sol.t) - 1
+    assert np.array_equal(traj.times, sol.t)
+    assert np.array_equal(traj.radii, sol.y[0])
+    assert np.array_equal(traj._interp.ts, sol.sol.ts)
+
+    rng = np.random.default_rng(len(sol.t))
+    points = np.concatenate([rng.uniform(0.0, t1, 400), sol.t[::7]])
+    assert np.array_equal(traj(points), sol.sol(points)[0])
+    for t in points[::37]:
+        assert traj(t) == sol.sol(t)[0]
+
+    t_eval = np.linspace(0.0, t1, 16 * periods + 1)
+    sol_e = _oracle(params, R0, t1, rtol, atol, t_eval=t_eval)
+    traj_e = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol, t_eval=t_eval)
+    assert traj_e.nfev == sol_e.nfev
+    assert np.array_equal(traj_e.times, sol_e.t)
+    assert np.array_equal(traj_e.radii, sol_e.y[0])
+
+
+def test_steps_do_not_depend_on_t_eval(default_params):
+    free = integrate(default_params, 1.0, 0.0, 3.0)
+    for t_eval in (np.linspace(0.0, 3.0, 4), np.linspace(0.0, 3.0, 301), [0.0, 3.0]):
+        sampled = integrate(default_params, 1.0, 0.0, 3.0, t_eval=t_eval)
+        assert sampled.steps == free.steps == len(free.times) - 1
+        assert sampled.nfev == free.nfev
+
+
+def test_bad_t_eval_rejected(default_params):
+    for t_eval in ([0.0, 2.0], [0.5, 0.5], [[0.0, 1.0]], [-0.1, 0.5]):
+        with pytest.raises(ValueError):
+            integrate(default_params, 1.0, 0.0, 1.0, t_eval=t_eval)
+
+
+def test_step_size_underflow_is_a_solver_error():
+    # a right side that turns NaN at t = 0.5 rejects every step past it
+    def fun(t, y):
+        return -y if t < 0.5 else float("nan")
+
+    sol = solve_ivp(lambda t, y: [fun(t, y[0])], (0.0, 1.0), [1.0], method="RK45")
+    assert not sol.success and "spacing between numbers" in sol.message
+    with pytest.raises(SolverError, match="spacing between numbers"):
+        dopri.solve(fun, 0.0, 1.0, 1.0, 1e-3, 1e-6)

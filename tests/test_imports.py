@@ -1,6 +1,9 @@
-"""The package's runtime imports: scipy only for the ODE integrator."""
+"""The package's runtime imports: numpy only; scipy is a test oracle."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tumordyn"
@@ -16,15 +19,25 @@ def imported_names(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_only_radial_imports_scipy_and_nothing_imports_optimize():
+def test_no_module_imports_scipy():
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    scipy_users = set()
     for path in modules:
         names = set(imported_names(path))
-        assert not any(
-            n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names
-        ), path.name
-        if any(n == "scipy" or n.startswith("scipy.") for n in names):
-            scipy_users.add(path.name)
-    assert scipy_users == {"radial.py"}
+        assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, tumordyn.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

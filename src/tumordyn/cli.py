@@ -26,6 +26,14 @@ from .nutrient import schedule_from_spec
 from .radial import Classification, ModelParams
 
 CONFIG_VERSION = 1
+# the keys each section may hold; other top-level sections are ignored
+SECTION_KEYS = {
+    "params": ("mu", "sigma_tilde", "gamma"),
+    "simulate": ("R0", "n_periods", "samples_per_period"),
+    "periodic": ("tol", "rate_R0_factor", "rate_n_periods"),
+    "stability": ("n_max", "self_consistent"),
+    "sweep": ("mu_grid", "sigma_grid"),
+}
 
 
 class ConfigError(ValueError):
@@ -73,15 +81,22 @@ def _json_dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _write(path: Path, text: str) -> None:
+    # the output directory appears with the first artifact, so a run that
+    # rejects its config leaves none behind
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_dumps(obj) + "\n", encoding="utf-8", newline="\n")
+    _write(path, _json_dumps(obj) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -91,30 +106,32 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 @dataclass
 class RunConfig:
     params: ModelParams
-    schedule_spec: dict
     options: dict
 
 
 def load_config(path: Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or any(
-        not isinstance(raw.get(s, {}), dict) for s in ("simulate", "periodic", "stability", "sweep")
-    ):
-        raise ConfigError("the config and its command sections must be JSON objects")
+    if not isinstance(raw, dict):
+        raise ConfigError("the config must be a JSON object")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(
             f"unsupported config version {raw.get('version')!r}; expected {CONFIG_VERSION}"
         )
     if "schedule" not in raw or "params" not in raw:
         raise ConfigError("config requires 'params' and 'schedule' sections")
+    for section, keys in SECTION_KEYS.items():
+        opts = raw.get(section, {})
+        if not isinstance(opts, dict):
+            raise ConfigError(f"the {section} section must be a JSON object")
+        for key in opts:
+            if key not in keys:
+                raise ConfigError(f"unknown config key {section}.{key}")
     schedule = schedule_from_spec(raw["schedule"])
     p = raw["params"]
-    if not isinstance(p, dict):
-        raise ConfigError("the params section must be a JSON object")
-    for key in ("mu", "sigma_tilde", "gamma"):
+    for key in SECTION_KEYS["params"]:
         if not _is_real(p.get(key)):
             raise ConfigError(f"params.{key} must be a finite JSON number, got {p.get(key)!r}")
     try:
@@ -126,7 +143,7 @@ def load_config(path: Path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid params section: {exc}") from exc
-    return RunConfig(params=params, schedule_spec=raw["schedule"], options=raw)
+    return RunConfig(params=params, options=raw)
 
 
 def _is_real(x) -> bool:
@@ -143,8 +160,8 @@ def _positive(opts: dict, section: str, key: str, default: float) -> float:
 
 def _count(opts: dict, section: str, key: str, default: int, low: int) -> int:
     n = opts.get(key, default)
-    if type(n) is not int or n < low:
-        raise ConfigError(f"{section}.{key} must be an integer >= {low}, got {n!r}")
+    if not (type(n) is int and _is_real(n) and n >= low):
+        raise ConfigError(f"{section}.{key} must be an integer >= {low} within float range, got {n!r}")
     return n
 
 
@@ -161,7 +178,7 @@ def _params_summary(params: ModelParams) -> dict:
 # commands
 
 
-def cmd_simulate(config: RunConfig, out: Path, rtol: float, atol: float) -> None:
+def cmd_simulate(config: RunConfig, out: Path) -> None:
     opts = config.options.get("simulate", {})
     R0 = _positive(opts, "simulate", "R0", 1.0)
     n_periods = _count(opts, "simulate", "n_periods", 10, 1)
@@ -169,7 +186,7 @@ def cmd_simulate(config: RunConfig, out: Path, rtol: float, atol: float) -> None
     params = config.params
     T = params.period
     t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
-    traj = radial.integrate(params, R0, 0.0, n_periods * T, rtol=rtol, atol=atol, t_eval=t_eval)
+    traj = radial.integrate(params, R0, 0.0, n_periods * T, t_eval=t_eval)
     _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times, traj.radii))
 
     verdict = radial.classify_radial(params)
@@ -181,7 +198,7 @@ def cmd_simulate(config: RunConfig, out: Path, rtol: float, atol: float) -> None
         "final_radius": float(traj.radii[-1]),
     }
     if verdict is Classification.EXTINCTION:
-        report = radial.extinction_diagnostics(params, R0, n_periods, rtol=rtol, atol=atol)
+        report = radial.extinction_diagnostics(params, R0, n_periods)
         summary["extinction_check"] = {
             "period_radii": list(report.period_radii),
             "nonincreasing_ok": report.nonincreasing_ok,
@@ -218,9 +235,9 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
     )
 
 
-def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
+def cmd_stability(config: RunConfig, out: Path) -> None:
     opts = config.options.get("stability", {})
-    n_max = _count(opts, "stability", "n_max", n_max, 2)
+    n_max = _count(opts, "stability", "n_max", stability.DEFAULT_N_MAX, 2)
     self_consistent = opts.get("self_consistent", False)
     if type(self_consistent) is not bool:
         raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")
@@ -248,23 +265,23 @@ def cmd_stability(config: RunConfig, out: Path, n_max: int) -> None:
     _write_csv(out / "modes.csv", ["n", "theta_n", "lambda_n"], rows)
 
 
-def _sweep_row(args) -> dict:
+SWEEP_COLUMNS = ["mu", "sigma_tilde", "verdict", "R_star0", "theta2", "lambda2", "error"]
+
+
+def _sweep_row(args) -> tuple:
+    """One sweep.csv row, in SWEEP_COLUMNS order."""
     params, mu, sigma = args
-    row = {"mu": mu, "sigma_tilde": sigma, "error": ""}
     try:
         trial = replace(params, mu=mu, sigma_tilde=sigma)
-        verdict = radial.classify_radial(trial)
-        if verdict is Classification.EXTINCTION:
-            row.update(verdict="Extinction", R_star0=None, theta2=None, lambda2=None)
-            return row
-        orbit = periodic_mod.find_periodic(trial)
-        theta2 = stability.theta_n(orbit, 2)
-        lambda2 = stability.mode_exponent(orbit, 2).lambda_bar
-        stab = stability.classify_stability(mu, theta2).value
-        row.update(verdict=stab, R_star0=orbit.R_star0, theta2=theta2, lambda2=lambda2)
+        if radial.classify_radial(trial) is Classification.EXTINCTION:
+            return (mu, sigma, Classification.EXTINCTION.value, None, None, None, "")
+        report = stability.analyze(trial, n_max=2)
     except TumordynError as exc:
-        row.update(verdict="Error", R_star0=None, theta2=None, lambda2=None, error=str(exc))
-    return row
+        return (mu, sigma, "Error", None, None, None, str(exc))
+    return (
+        mu, sigma, report.verdict.value, report.orbit.R_star0,
+        report.thresholds[0], report.exponents[2].lambda_bar, "",
+    )
 
 
 def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
@@ -287,24 +304,9 @@ def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
     else:
         rows = [_sweep_row(job) for job in jobs]
 
-    if all(r["verdict"] == "Error" for r in rows):
+    if all(r[2] == "Error" for r in rows):
         raise TumordynError("every sweep row failed")
-    _write_csv(
-        out / "sweep.csv",
-        ["mu", "sigma_tilde", "verdict", "R_star0", "theta2", "lambda2", "error"],
-        [
-            (
-                r["mu"],
-                r["sigma_tilde"],
-                r["verdict"],
-                r["R_star0"],
-                r["theta2"],
-                r["lambda2"],
-                r["error"],
-            )
-            for r in rows
-        ],
-    )
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
 
 
 # ----------------------------------------------------------------------
@@ -320,28 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, type=Path, help="JSON run config")
     parser.add_argument("--out", required=True, type=Path, help="output directory")
     parser.add_argument("--workers", type=int, default=1, help="sweep worker count")
-    parser.add_argument("--tol-rtol", type=float, default=1e-10)
-    parser.add_argument("--tol-atol", type=float, default=1e-12)
-    parser.add_argument("--n-max", type=int, default=stability.DEFAULT_N_MAX)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tol_rtol <= 0 or args.tol_atol <= 0 or args.workers < 1:
-            raise ConfigError("tolerances must be positive and workers >= 1")
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         config = load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            cmd_simulate(config, out, args.tol_rtol, args.tol_atol)
+            cmd_simulate(config, args.out)
         elif args.command == "periodic":
-            cmd_periodic(config, out)
+            cmd_periodic(config, args.out)
         elif args.command == "stability":
-            cmd_stability(config, out, args.n_max)
+            cmd_stability(config, args.out)
         else:
-            cmd_sweep(config, out, args.workers)
+            cmd_sweep(config, args.out, args.workers)
     except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,7 @@ class NutrientSchedule:
         for name, value in values.items():
             try:
                 ok = math.isfinite(value)
-            except TypeError:
+            except (TypeError, OverflowError):
                 ok = False
             if not ok:
                 raise ScheduleError(
@@ -83,7 +83,7 @@ class NutrientSchedule:
     def _finite_tuple(self, name, values) -> tuple[float, ...]:
         try:
             out = tuple(float(x) for x in values)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ScheduleError(
                 f"{type(self).__name__} {name} must be a sequence of numbers, got {values!r}"
             ) from None

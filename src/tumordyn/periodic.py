@@ -51,15 +51,9 @@ def bracket(params: ModelParams) -> tuple[float, float]:
     return (x_bar, x2)
 
 
-def poincare_map(
-    params: ModelParams,
-    R0: float,
-    t0: float = 0.0,
-    rtol: float = POINCARE_RTOL,
-    atol: float = POINCARE_ATOL,
-) -> float:
-    """One-period solution map R0 -> R(t0 + T)."""
-    traj = integrate(params, R0, t0, t0 + params.period, rtol=rtol, atol=atol)
+def poincare_map(params: ModelParams, R0: float) -> float:
+    """One-period solution map R0 -> R(T)."""
+    traj = integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
     return float(traj.radii[-1])
 
 
@@ -79,10 +73,9 @@ def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class PeriodicSolution:
-    """One dense period of the unique positive periodic radius orbit."""
+    """One dense period [0, T] of the unique positive periodic radius orbit."""
 
     params: ModelParams
-    t0: float
     period: float
     R_star0: float
     times: np.ndarray
@@ -97,7 +90,7 @@ class PeriodicSolution:
     def __call__(self, t):
         """R*(t) for any t, by wrapping into the stored period."""
         t = np.asarray(t, dtype=float)
-        return self._interp((t - self.t0) % self.period + self.t0)
+        return self._interp(t % self.period)
 
     def quadrature(self):
         """Cached composite Gauss-Legendre nodes over the stored period.
@@ -111,17 +104,12 @@ class PeriodicSolution:
         return self._quad
 
 
-def find_periodic(
-    params: ModelParams,
-    tol: float = 1e-11,
-    t0: float = 0.0,
-    n_segments: int = DEFAULT_SEGMENTS,
-) -> PeriodicSolution:
+def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
     """Locate the fixed point of the Poincare map and store one dense period."""
     x_bar, x2 = bracket(params)
 
     def G(r0: float) -> float:
-        return (poincare_map(params, r0, t0=t0) - r0) / min(1.0, r0)
+        return (poincare_map(params, r0) - r0) / min(1.0, r0)
 
     g_lo = G(x_bar)
     g_hi = G(x2)
@@ -134,9 +122,9 @@ def find_periodic(
     # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
     r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
-    t_eval = t0 + np.linspace(0.0, params.period, n_segments + 1)
+    t_eval = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
     traj = integrate(
-        params, r, t0, t0 + params.period,
+        params, r, 0.0, params.period,
         rtol=POINCARE_RTOL, atol=POINCARE_ATOL, t_eval=t_eval,
     )
     residual = abs(float(traj.radii[-1]) - r)
@@ -146,7 +134,6 @@ def find_periodic(
 
     return PeriodicSolution(
         params=params,
-        t0=t0,
         period=params.period,
         R_star0=r,
         times=traj.times,
@@ -180,7 +167,6 @@ class RateFit:
     """Fitted per-period contraction toward the periodic orbit."""
 
     delta_hat: float
-    C_hat: float
     delta_bound: float
     r_squared: float
     n_periods_used: int
@@ -236,13 +222,13 @@ def convergence_rate(
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     delta_hat = -float(slope)
-    c_hat = math.exp(float(intercept))
 
     ratio = R0 / R_star0
     lo = orbit.R_min * min(1.0, ratio)
     hi = orbit.R_max * max(1.0, ratio)
-    grid = np.linspace(lo, hi, 4097)
-    m_min = float(np.min(-pn_derivative(0, grid)))
+    # -P0' rises from 0 at r = 0 to its one maximum near r = 1.93 and falls
+    # back to 0 as r -> inf, so its minimum over [lo, hi] is at an end
+    m_min = float(np.min(-pn_derivative(0, np.array([lo, hi]))))
     delta_bound = (
         params.mu * params.schedule.minimum * m_min * orbit.R_min * min(1.0, ratio)
     )
@@ -253,7 +239,6 @@ def convergence_rate(
         )
     return RateFit(
         delta_hat=delta_hat,
-        C_hat=c_hat,
         delta_bound=delta_bound,
         r_squared=r_squared,
         n_periods_used=len(ks),

@@ -22,6 +22,8 @@ from .specfun import p0
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+# extinction_diagnostics samples each period at this many equal steps
+_GRID_PER_PERIOD = 32
 
 
 @dataclass(frozen=True)
@@ -144,14 +146,7 @@ class ExtinctionReport:
     violations: list[str]
 
 
-def extinction_diagnostics(
-    params: ModelParams,
-    R0: float,
-    n_periods: int,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-    grid_per_period: int = 32,
-) -> ExtinctionReport:
+def extinction_diagnostics(params: ModelParams, R0: float, n_periods: int) -> ExtinctionReport:
     """Integrate n_periods and check the proof-backed decay structure.
 
     Verifies (a) R(kT) is non-increasing and (b) within each period
@@ -164,12 +159,12 @@ def extinction_diagnostics(
         raise ValueError("n_periods must be >= 1")
 
     T = params.period
-    t_grid = np.linspace(0.0, n_periods * T, n_periods * grid_per_period + 1)
-    traj = integrate(params, R0, 0.0, n_periods * T, rtol=rtol, atol=atol, t_eval=t_grid)
+    t_grid = np.linspace(0.0, n_periods * T, n_periods * _GRID_PER_PERIOD + 1)
+    traj = integrate(params, R0, 0.0, n_periods * T, t_eval=t_grid)
 
-    rk = traj.radii[::grid_per_period]
-    tk = traj.times[::grid_per_period]
-    slack = 10.0 * max(rtol * float(np.max(traj.radii)), atol)
+    rk = traj.radii[::_GRID_PER_PERIOD]
+    tk = traj.times[::_GRID_PER_PERIOD]
+    slack = 10.0 * max(DEFAULT_RTOL * float(np.max(traj.radii)), DEFAULT_ATOL)
     violations: list[str] = []
 
     diffs = np.diff(rk)
@@ -184,7 +179,7 @@ def extinction_diagnostics(
     cap = math.exp(params.mu * growth * T / 3.0)
     cap_ok = True
     for k in range(n_periods):
-        seg = traj.radii[k * grid_per_period : (k + 1) * grid_per_period + 1]
+        seg = traj.radii[k * _GRID_PER_PERIOD : (k + 1) * _GRID_PER_PERIOD + 1]
         bound = rk[k] * cap + slack
         if np.any(seg > bound):
             cap_ok = False

@@ -181,11 +181,11 @@ def pn_derivative(n: int, r):
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def p0_inverse(y: float, tol: float = 1e-13) -> float:
+def p0_inverse(y: float) -> float:
     """Unique r > 0 with P_0(r) = y, for y in (0, 1/3).
 
     P_0 decreases from 1/3 and P_0(r) < 1/r, so [1e-8, 1/y] brackets the
-    root; Brent's method stops once |P_0(r)/y - 1| <= tol.
+    root; Brent's method stops once |P_0(r)/y - 1| <= 1e-13.
     """
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise ValueError("target y must be a finite real number")
@@ -197,4 +197,4 @@ def p0_inverse(y: float, tol: float = 1e-13) -> float:
         return p0(r) / y - 1.0
 
     # rounding can make P_0(1/y) equal y, never exceed it
-    return find_root(f, 1e-8, 1.0 / y, f(1e-8), min(f(1.0 / y), 0.0), ftol=tol)
+    return find_root(f, 1e-8, 1.0 / y, f(1e-8), min(f(1.0 / y), 0.0), ftol=1e-13)

@@ -115,14 +115,14 @@ def mu_star(
     params: ModelParams,
     self_consistent: bool = False,
     orbit: PeriodicSolution | None = None,
-    rel_tol: float = 1e-9,
 ) -> tuple[float, bool]:
     """Critical proliferation coefficient theta_2.
 
     By default theta_2 is evaluated on the orbit computed at params.mu (the
     per-mu classification).  With self_consistent=True the root of
-    mu = theta_2(orbit(mu)) is returned instead; the two coincide for a
-    constant nutrient supply, where the orbit is mu-independent.
+    mu = theta_2(orbit(mu)) is returned instead, to relative accuracy 1e-9;
+    the two coincide for a constant nutrient supply, where the orbit is
+    mu-independent.
     """
     if not self_consistent:
         if orbit is None:
@@ -143,7 +143,7 @@ def mu_star(
         except (SolverError, ValueError, OverflowError):
             break
         if prev is not None and prev[1] < 0.0 <= h_try:
-            return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=rel_tol), True
+            return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=1e-9), True
         prev = (mu_try, h_try)
     raise NoPeriodicSolutionError("self-consistent mu_star not bracketed in [1e-6, 1e6]")
 
@@ -167,10 +167,10 @@ def evolve_mode(
     integral = k * lam * T
     if tau > 0.0:
         params = orbit.params
-        tq, wq = gauss_nodes(orbit.t0 + np.linspace(0.0, tau, 257))
+        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
         tension, (prolif,) = _mode_integrals(params, tq, wq, orbit(tq), [n])
         integral += _curvature_part(params, n, tension) - params.mu * prolif
-    prefactor = (orbit.R_star0 / orbit(orbit.t0 + t)) ** (n - 1)
+    prefactor = (orbit.R_star0 / orbit(t)) ** (n - 1)
     return rho0 * prefactor * math.exp(-integral)
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tumordyn import specfun
 from tumordyn.cli import main
@@ -102,12 +109,7 @@ class TestStability:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
-
-    def test_bad_n_max_flag(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        argv = ["stability", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert main(argv + ["--n-max", "1"]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -196,6 +198,8 @@ class TestValidation:
             {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [float("inf")]},
             {"form": "piecewise", "period": 1.0, "times": [0.0, 1.0], "values": [float("nan")] * 2},
             {"form": "sinusoid", "period": "x", "mean": 1.0, "amplitude": 0.5},
+            {"form": "sinusoid", "period": 1.0, "mean": 10**400, "amplitude": 0.5},
+            {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [10**400]},
         ],
     )
     def test_non_finite_schedule(self, tmp_path, capsys, schedule):
@@ -224,6 +228,13 @@ class TestValidation:
             ("simulate", {**BASE, "params": {**BASE["params"], "sigma_tilde": "0.9"}}),
             ("simulate", {**BASE, "params": {**BASE["params"], "gamma": None}}),
             ("simulate", {**BASE, "params": [1.0, 0.9, 1.0]}),
+            ("simulate", {**BASE, "simulate": {"n_perods": 5}}),
+            ("periodic", {**BASE, "simulate": {"n_perods": 5}}),
+            ("simulate", {**BASE, "params": {**BASE["params"], "sigma": 0.5}}),
+            ("stability", {**BASE, "stability": {"nmax": 6}}),
+            ("sweep", {**BASE, "sweep": {"mu_grid": [1.0], "sigma": [0.5]}}),
+            ("periodic", {**BASE, "periodic": {"rtol": 1e-10}}),
+            ("simulate", {**BASE, "simulate": {"n_periods": 10**400}}),
         ],
     )
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, config):
@@ -233,6 +244,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        # a rejected config leaves no output directory behind
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra={"simulate": {"n_perods": 5}})
+        assert run("simulate", cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: unknown config key simulate.n_perods\n"
+
+    def test_extra_top_level_section_is_ignored(self, tmp_path):
+        cfg = write_config(tmp_path, extra={"notes": {"anything": [1, "x"]}})
+        assert run("simulate", cfg, tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--tol-rtol", "--tol-atol"])
+    def test_removed_flag_unrecognised(self, tmp_path, capsys, flag):
+        argv = ["stability", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_solver_failure_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         # a Bessel-ratio continued fraction that does not converge
@@ -245,3 +275,83 @@ class TestValidation:
     def test_invalid_params(self, tmp_path):
         cfg = write_config(tmp_path, mu=-1.0)
         assert run("simulate", cfg, tmp_path / "out") == 2
+
+
+# ----------------------------------------------------------------------
+# fuzz of the CLI boundary: a cheap valid config with up to two fields or
+# sections replaced by junk
+
+JUNK = st.one_of(
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -3, 10**400]),
+)
+
+
+def _section(required=None, **optional):
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+def _grid(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=2, unique=True).map(sorted)
+
+
+VALID_CONFIG = _section(
+    {
+        "version": st.just(1),
+        "params": _section(
+            {"mu": st.floats(0.1, 10.0), "sigma_tilde": st.floats(0.05, 1.5), "gamma": st.floats(0.5, 2.0)}
+        ),
+        "schedule": _section(
+            {"form": st.just("sinusoid"), "mean": st.floats(0.8, 1.2), "amplitude": st.floats(0.0, 0.5)},
+            period=st.floats(0.5, 2.0),
+        ),
+    },
+    simulate=_section(R0=st.floats(0.5, 2.0), n_periods=st.integers(1, 2), samples_per_period=st.integers(1, 8)),
+    periodic=_section(
+        tol=st.floats(1e-11, 1e-9), rate_R0_factor=st.floats(1.5, 2.5), rate_n_periods=st.integers(13, 14)
+    ),
+    stability=_section(n_max=st.integers(2, 6), self_consistent=st.just(False)),
+    sweep=_section(mu_grid=_grid(0.1, 10.0), sigma_grid=_grid(0.05, 1.5)),
+    notes=JUNK,
+)
+
+
+@st.composite
+def fuzz_configs(draw):
+    config = draw(VALID_CONFIG)
+    for _ in range(draw(st.integers(0, 2))):
+        section = draw(st.sampled_from(sorted(config)))
+        keys = [None]  # None replaces the whole section
+        if isinstance(config[section], dict):
+            keys += ["typo", *sorted(config[section])]
+        key = draw(st.sampled_from(keys))
+        if key is None:
+            config[section] = draw(JUNK)
+        else:
+            config[section][key] = draw(JUNK)
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["simulate", "periodic", "stability", "sweep"]), config=fuzz_configs())
+def test_fuzz_cli_boundary(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--out", str(out), "--workers", "1"])
+        err = err.getvalue() + "".join(f"warning: {w.message}\n" for w in caught)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+        if code == 2:
+            assert not out.exists()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -84,8 +85,11 @@ def _json_dumps(obj, indent=0) -> str:
 def _write(path: Path, text: str) -> None:
     # the output directory appears with the first artifact, so a run that
     # rejects its config leaves none behind
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, obj) -> None:
@@ -298,6 +302,8 @@ def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
         raise ConfigError("sweep grids must be strictly increasing")
 
     jobs = [(config.params, mu, sigma) for sigma in sigma_grid for mu in mu_grid]
+    # the pool forks all its workers at once, so never more than rows or cores
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))

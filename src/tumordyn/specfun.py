@@ -1,10 +1,12 @@
 """Ratio functions of half-integer modified Bessel functions.
 
-The workhorse is ``pn(n, r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r))``, evaluated
-through the Gauss continued fraction for the ratio I_{nu+1}/I_nu (modified
-Lentz iteration).  Ratios are never formed from separately computed I values,
-so there is no overflow or cancellation at large order or argument.  Small
-arguments are served by a power-series branch of the same ratio.
+The workhorse is ``pn(n, r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r))``.  Every
+order comes from one backward recurrence, P_{n-1} = 1 / (2n + 1 + r^2 P_n)
+(the Gauss continued fraction summed from its tail), started from P = 0 far
+enough above the wanted orders.  Backward is the stable direction (Gautschi
+1967), and Amos's (1974) bound r P_k < exp(-asinh((k+1)/r)) fixes how far.
+No I value is formed, so nothing overflows at large order or argument, and
+near the origin r^2 P_n underflows to the limit 1/(2n+3).
 
 All evaluators accept scalars or numpy arrays of positive arguments.
 """
@@ -18,9 +20,8 @@ import numpy as np
 from .errors import SolverError
 from .roots import find_root
 
-_CF_TINY = 1e-300
-_CF_TOL = 1e-15
-_CF_MAX_ITER = 100000
+_CF_MAX_ITER = 100000  # cap on the recurrence's start depth
+_DEPTH_CONTRACTION = 64.0 * math.log(2.0)
 _SERIES_MAX_TERMS = 30
 
 
@@ -39,45 +40,12 @@ def _check_order(n: int) -> int:
     return int(n)
 
 
-def _ratio_cf(nu: float, r: np.ndarray) -> np.ndarray:
-    """I_{nu+1}(r)/I_nu(r) by the Gauss continued fraction, modified Lentz.
-
-    Every iterate is formed in place in preallocated buffers.  A non-finite
-    f can never become finite again, so it fails at once.
-    """
-    f = np.full(r.shape, _CF_TINY)
-    c = f.copy()
-    d = np.zeros_like(r)
-    b = np.empty_like(r)
-    delta = np.empty_like(r)
-    mask = np.empty(r.shape, dtype=bool)
-    # beyond r ~ 1e8 the first step overflows, and f stays inf from then on
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, _CF_MAX_ITER + 1):
-            np.divide(2.0 * (nu + j), r, out=b)
-            np.add(b, d, out=d)
-            d[np.equal(d, 0.0, out=mask)] = _CF_TINY
-            np.divide(1.0, c, out=c)
-            np.add(b, c, out=c)
-            c[np.equal(c, 0.0, out=mask)] = _CF_TINY
-            np.divide(1.0, d, out=d)
-            np.multiply(c, d, out=delta)
-            np.multiply(f, delta, out=f)
-            if not np.isfinite(f, out=mask).all():
-                break
-            np.subtract(delta, 1.0, out=delta)
-            if j > 1 and np.less(np.abs(delta, out=delta), _CF_TOL, out=mask).all():
-                return f
-    raise SolverError("Bessel ratio continued fraction did not converge")
-
-
 def _ratio_series(nu: float, r):
     """I_{nu+1}(r)/I_nu(r) from the defining power series (small r*r/(4*nu)).
 
     Both partial sums have positive terms, so the quotient is cancellation
-    free; callers restrict to x = r^2/4 < 0.01*(nu+1) where <= ~10 terms
-    reach double precision.  r is a float or an array; both take the same
-    operations.
+    free; ``p0`` calls it below r = 0.3, where <= ~10 terms reach double
+    precision.  r is a float or an array; both take the same operations.
     """
     x = 0.25 * r * r
     s_lo = 1.0   # sum for I_nu with leading factor stripped
@@ -95,17 +63,46 @@ def _ratio_series(nu: float, r):
     return (0.5 * r / (nu + 1.0)) * s_hi / s_lo
 
 
-def _pn_impl(n: int, r: np.ndarray) -> np.ndarray:
-    nu = n + 0.5
-    out = np.empty_like(r)
-    small = 0.25 * r * r < 0.01 * (nu + 1.0)
-    if np.any(small):
-        rs = r[small]
-        out[small] = _ratio_series(nu, rs) / rs
-    if np.any(~small):
-        rl = r[~small]
-        out[~small] = _ratio_cf(nu, rl) / rl
-    return out
+def _start_depth(n_hi: int, r_max: float) -> int:
+    """Least K with sum_{k=n_hi}^{n_hi+K-1} 2 asinh((k+1)/r_max) >= 64 ln 2.
+
+    Started K orders above n_hi, the recurrence shrinks the error of its
+    P = 0 start below 2**-64, under half an ulp.  asinh x <= x bounds the sum
+    by K (K + 2 n_hi + 1) / r_max, so a depth past the cap fails before any
+    loop.
+    """
+    cap = _CF_MAX_ITER
+    total = 0.0
+    k = n_hi
+    if cap * (cap + 2 * n_hi + 1) >= _DEPTH_CONTRACTION * r_max:
+        while total < _DEPTH_CONTRACTION and k - n_hi < cap:
+            k += 1
+            total += 2.0 * math.asinh(k / r_max)
+    if total < _DEPTH_CONTRACTION:
+        raise SolverError(
+            f"Bessel ratio continued fraction needs more than {cap} orders at r = {r_max:.6g}"
+        )
+    return k - n_hi
+
+
+def _ratios(n_hi: int, n_lo: int, r: np.ndarray):
+    """Yield P_n(r) for n = n_hi, n_hi - 1, ..., n_lo from one backward pass.
+
+    The start depth is set by the largest r of the batch, and every lane has
+    converged to the last bit long before n_hi, so a value does not depend
+    on the batch or on n_hi.  Each row is one buffer, overwritten when the
+    next row is made.
+    """
+    # an empty batch runs as if r = 1
+    depth = _start_depth(n_hi, float(r.max()) if r.size else 1.0)
+    r2 = r * r
+    p = np.zeros_like(r)
+    for m in range(n_hi + depth, n_lo, -1):  # P_m -> P_{m-1}
+        np.multiply(r2, p, out=p)
+        np.add(p, 2.0 * m + 1.0, out=p)
+        np.divide(1.0, p, out=p)
+        if m <= n_hi + 1:
+            yield p
 
 
 def pn(n: int, r):
@@ -115,7 +112,7 @@ def pn(n: int, r):
     """
     n = _check_order(n)
     arr = _as_positive_array(r)
-    out = _pn_impl(n, np.atleast_1d(arr))
+    out = next(_ratios(n, n, np.atleast_1d(arr)))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -156,28 +153,16 @@ def p0(r):
 def pn_derivative(n: int, r):
     """dP_n/dr, always negative.
 
-    Away from the origin it follows from the Bessel derivative identities:
-    with rho = r*P_n,  d(rho)/dr = 1 - 2(n+1)*rho/r - rho^2, hence
-    P_n'(r) = [1 - (2n+3) P_n - r^2 P_n^2] / r.  Near the origin that
-    bracket cancels to O(r^2), so a series branch takes over.
+    With rho = r*P_n the Bessel derivative identities give
+    d(rho)/dr = 1 - 2(n+1)*rho/r - rho^2, and 1 - (2n+3) P_n = r^2 P_n P_{n+1}
+    turns this into P_n'(r) = r P_n (P_{n+1} - P_n), with no cancellation
+    near the origin.
     """
     n = _check_order(n)
     arr = _as_positive_array(r)
     a = np.atleast_1d(arr)
-    out = np.empty_like(a)
-    c = (2.0 * n + 3.0) * (2.0 * n + 5.0)
-    small = a * a < 1e-6 * c
-    if np.any(small):
-        rs = a[small]
-        nu = n + 0.5
-        x = 0.25 * rs * rs
-        c1 = (nu + 1.0) * (nu + 2.0)
-        c2 = (nu + 1.0) ** 2 * (nu + 2.0) * (nu + 3.0)
-        out[small] = (0.5 * rs / (2.0 * nu + 2.0)) * (-1.0 / c1 + 4.0 * x / c2)
-    if np.any(~small):
-        rl = a[~small]
-        p = _pn_impl(n, rl)
-        out[~small] = (1.0 - (2.0 * n + 3.0) * p - rl * rl * p * p) / rl
+    p_next, p = (row.copy() for row in _ratios(n + 1, n, a))
+    out = a * p * (p_next - p)
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -27,7 +27,7 @@ from .errors import NoPeriodicSolutionError, SolverError
 from .periodic import PeriodicSolution, find_periodic, gauss_nodes
 from .radial import ModelParams
 from .roots import find_root
-from .specfun import pn
+from .specfun import _ratios, pn
 
 DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
@@ -61,11 +61,15 @@ def _mode_integrals(
 ) -> tuple[float, list[float]]:
     """The two parts of the mode integral on the nodes tq (weights wq, radii
     rq = R*(tq)): Int 1/R*^3 and, for each n in ns,
-    Int Phi * R*^2 * P0(R*) * (P1(R*) - Pn(R*))."""
+    Int Phi * R*^2 * P0(R*) * (P1(R*) - Pn(R*)).  The orders of ns are
+    reduced one by one along a single backward pass, with no order table."""
     p1q = pn(1, rq)
     weighted = wq * params.schedule(tq) * rq**2 * pn(0, rq)
-    prolif = [float(np.sum(weighted * (p1q - pn(n, rq)))) for n in ns]
-    return float(np.sum(wq / rq**3)), prolif
+    hi, lo = max(ns), min(ns)
+    prolif = {}
+    for n, pnq in zip(range(hi, lo - 1, -1), _ratios(hi, lo, rq)):
+        prolif[n] = float(np.sum(weighted * (p1q - pnq)))
+    return float(np.sum(wq / rq**3)), [prolif[n] for n in ns]
 
 
 def _curvature_part(params: ModelParams, n: int, tension: float) -> float:

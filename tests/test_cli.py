@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumordyn import specfun
+from tumordyn import cli, specfun
 from tumordyn.cli import main
 
 BASE = {
@@ -169,6 +169,37 @@ class TestSweep:
         cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [2.0, 1.0]}})
         assert run("sweep", cfg, tmp_path / "out") == 2
 
+    def test_workers_write_same_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, extra=self.SWEEP)
+        for workers in ("1", "2"):
+            argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / workers)]
+            assert main(argv + ["--workers", workers]) == 0
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
+
+    def test_workers_capped_by_rows(self, tmp_path, monkeypatch):
+        # a stand-in pool: no process is started, only max_workers is recorded
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [0.1, 0.5], "sigma_grid": [0.5]}})
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "64"]
+        assert main(argv) == 0
+        assert seen == [2]
+
 
 class TestValidation:
     def test_missing_config(self, tmp_path):
@@ -275,6 +306,15 @@ class TestValidation:
     def test_invalid_params(self, tmp_path):
         cfg = write_config(tmp_path, mu=-1.0)
         assert run("simulate", cfg, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unwritable_out_one_line_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("taken", encoding="utf-8")
+        assert run("simulate", write_config(tmp_path), tmp_path / out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out / 'trajectory.csv'}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "taken"
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumordyn import SolverError, p0, p0_inverse, pn, pn_derivative, specfun
+from tumordyn.specfun import _ratios
 
 mp.mp.dps = 40
 
@@ -129,8 +130,39 @@ class TestPn:
         with pytest.raises(SolverError):
             pn(2, 50.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 64, 65, 100, 200])
+    def test_oracle_wide_range(self, n):
+        for r in np.logspace(-4, math.log10(5e4), 40):
+            assert pn(n, float(r)) == pytest.approx(pn_oracle(n, r), rel=1e-14, abs=0.0)
+
+    def test_value_independent_of_batch_and_pass(self):
+        r = np.logspace(math.log10(0.5), math.log10(50.0), 200)
+        alone = np.array([pn(2, x) for x in r])
+        with_large = pn(2, np.append(r, 3000.0))[:-1]
+        all_orders = [row.copy() for row in _ratios(64, 0, r)][64 - 2]
+        assert np.array_equal(_bits(alone), _bits(with_large))
+        assert np.array_equal(_bits(alone), _bits(all_orders))
+
+    def test_depth_past_cap_is_solver_error(self):
+        with pytest.raises(SolverError):
+            pn(2, 1e300)
+        with pytest.raises(SolverError):
+            pn_derivative(0, np.array([3e9, 6e9]))
+
+
+def pn_derivative_oracle(n, r):
+    def f(x):
+        return mp.besseli(n + mp.mpf(3) / 2, x) / (x * mp.besseli(n + mp.mpf(1) / 2, x))
+
+    return float(mp.diff(f, mp.mpf(float(r))))
+
 
 class TestPnDerivative:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 20])
+    def test_oracle(self, n):
+        for r in np.logspace(-4, math.log10(3e3), 40):
+            assert pn_derivative(n, float(r)) == pytest.approx(pn_derivative_oracle(n, r), rel=1e-10, abs=0.0)
+
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_negative(self, r):
         assert pn_derivative(0, r) < 0.0

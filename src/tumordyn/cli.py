@@ -35,6 +35,9 @@ SECTION_KEYS = {
     "stability": ("n_max", "self_consistent"),
     "sweep": ("mu_grid", "sigma_grid"),
 }
+# analyze evaluates every order up to n_max (~0.4 s at this limit for a
+# sinusoid supply on a 2-core x86-64 machine), so a config's count is bounded
+_N_MAX_LIMIT = 10_000
 
 
 class ConfigError(ValueError):
@@ -242,6 +245,8 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
 def cmd_stability(config: RunConfig, out: Path) -> None:
     opts = config.options.get("stability", {})
     n_max = _count(opts, "stability", "n_max", stability.DEFAULT_N_MAX, 2)
+    if n_max > _N_MAX_LIMIT:
+        raise ConfigError(f"stability.n_max must be at most {_N_MAX_LIMIT}, got {n_max}")
     self_consistent = opts.get("self_consistent", False)
     if type(self_consistent) is not bool:
         raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")

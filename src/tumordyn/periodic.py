@@ -17,12 +17,14 @@ from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
 from .radial import ModelParams, integrate, rhs
 from .roots import find_root, refine_extremum
-from .specfun import p0_inverse, pn_derivative
+# pn_derivative stays bound here because bench/tracing.py wraps this site
+from .specfun import p0_derivative, p0_inverse, pn_derivative  # noqa: F401
 
 POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_SEGMENTS = 1024
 _QUAD_NODES_PER_SEGMENT = 8
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
 
 
 def bracket(params: ModelParams) -> tuple[float, float]:
@@ -61,19 +63,22 @@ def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on the intervals between
     consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
     to edges[-1] - edges[0]."""
-    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
     lo = edges[:-1]
     hi = edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wq = (half[:, None] * w[None, :]).ravel()
+    tq = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    wq = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return tq, wq
 
 
 @dataclass
 class PeriodicSolution:
-    """One dense period [0, T] of the unique positive periodic radius orbit."""
+    """One dense period [0, T] of the unique positive periodic radius orbit.
+
+    The node cache and the mode-integral memo of ``stability`` are not
+    constructor arguments, so ``dataclasses.replace`` starts both empty.
+    """
 
     params: ModelParams
     period: float
@@ -85,7 +90,8 @@ class PeriodicSolution:
     residual: float
     bracket: tuple[float, float]
     _interp: DenseSolution = field(repr=False)
-    _quad: tuple | None = field(default=None, repr=False)
+    _quad: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
         """R*(t) for any t, by wrapping into the stored period."""
@@ -228,7 +234,7 @@ def convergence_rate(
     hi = orbit.R_max * max(1.0, ratio)
     # -P0' rises from 0 at r = 0 to its one maximum near r = 1.93 and falls
     # back to 0 as r -> inf, so its minimum over [lo, hi] is at an end
-    m_min = float(np.min(-pn_derivative(0, np.array([lo, hi]))))
+    m_min = float(np.min(-p0_derivative(np.array([lo, hi]))))
     delta_bound = (
         params.mu * params.schedule.minimum * m_min * orbit.R_min * min(1.0, ratio)
     )

@@ -23,6 +23,7 @@ from .roots import find_root
 _CF_MAX_ITER = 100000  # cap on the recurrence's start depth
 _DEPTH_CONTRACTION = 64.0 * math.log(2.0)
 _SERIES_MAX_TERMS = 30
+_P0_DERIVATIVE_CLOSED_FROM = 20.0
 
 
 def _as_positive_array(r):
@@ -163,6 +164,25 @@ def pn_derivative(n: int, r):
     a = np.atleast_1d(arr)
     p_next, p = (row.copy() for row in _ratios(n + 1, n, a))
     out = a * p * (p_next - p)
+    return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def p0_derivative(r):
+    """dP_0/dr, always negative.
+
+    From r = 20 on it is the closed form 2/r^3 - coth(r)/r^2: the dropped
+    -csch(r)^2/r term is below an ulp of the rest there, and no recurrence
+    has to start ~sqrt(44 r) orders deep (past its cap beyond r ~ 2.2e8).
+    Below r = 20 it is pn_derivative(0, r), bit for bit.
+    """
+    arr = _as_positive_array(r)
+    a = np.atleast_1d(arr)
+    out = np.empty_like(a)
+    large = a >= _P0_DERIVATIVE_CLOSED_FROM
+    rl = a[large]
+    out[large] = 2.0 / rl**3 - 1.0 / (rl * rl * np.tanh(rl))
+    if not large.all():
+        out[~large] = pn_derivative(0, a[~large])
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 

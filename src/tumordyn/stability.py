@@ -11,15 +11,19 @@ closed-form (n-1)*dlogR*/dt term integrates to zero over full periods and is
 kept out of Lambda_n).  Mode n decays iff mu < theta_n, and the critical
 proliferation coefficient is mu_star = theta_2.
 
-The integrand is evaluated in one place, ``_mode_integrals``, on composite
-Gauss-Legendre nodes from ``periodic.gauss_nodes``.
+The integrand is evaluated in one place, ``_mode_terms`` with its
+``_ModeTerms.integrals``, on composite Gauss-Legendre nodes from
+``periodic.gauss_nodes``.  Its order-free node terms and every integral taken
+from them are memoized on the orbit: the whole period once per orbit, with
+each order's integral computed once, and the latest fractional window
+[0, tau) that ``evolve_mode`` asked for.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,20 +60,62 @@ def classify_stability(mu: float, theta2: float, band: float = MARGINAL_BAND) ->
     return Verdict.LINEARLY_UNSTABLE
 
 
-def _mode_integrals(
-    params: ModelParams, tq: np.ndarray, wq: np.ndarray, rq: np.ndarray, ns
-) -> tuple[float, list[float]]:
-    """The two parts of the mode integral on the nodes tq (weights wq, radii
-    rq = R*(tq)): Int 1/R*^3 and, for each n in ns,
-    Int Phi * R*^2 * P0(R*) * (P1(R*) - Pn(R*)).  The orders of ns are
-    reduced one by one along a single backward pass, with no order table."""
+@dataclass
+class _ModeTerms:
+    """The order-free terms of the mode integrand on one node set, and the
+    integrals taken from them so far.
+
+    weighted = w * Phi * R*^2 * P0(R*) and p1 = P1(R*) at the nodes (radii
+    R*); tension = Int 1/R*^3; prolif[n] = Int Phi * R*^2 * P0 * (P1 - Pn).
+    """
+
+    radii: np.ndarray
+    weighted: np.ndarray
+    p1: np.ndarray
+    tension: float
+    prolif: dict[int, float] = field(default_factory=dict)
+
+    def integrals(self, ns) -> list[float]:
+        """prolif[n] for each n of ns.  Missing orders are reduced one by one
+        along a single backward pass, with no order table."""
+        missing = [n for n in ns if n not in self.prolif]
+        if missing:
+            hi, lo = max(missing), min(missing)
+            for n, pnq in zip(range(hi, lo - 1, -1), _ratios(hi, lo, self.radii)):
+                if n not in self.prolif:
+                    self.prolif[n] = float(np.sum(self.weighted * (self.p1 - pnq)))
+        return [self.prolif[n] for n in ns]
+
+
+def _mode_terms(
+    params: ModelParams, tq: np.ndarray, wq: np.ndarray, rq: np.ndarray
+) -> _ModeTerms:
+    """Mode terms on the nodes tq (weights wq, radii rq = R*(tq))."""
     p1q = pn(1, rq)
     weighted = wq * params.schedule(tq) * rq**2 * pn(0, rq)
-    hi, lo = max(ns), min(ns)
-    prolif = {}
-    for n, pnq in zip(range(hi, lo - 1, -1), _ratios(hi, lo, rq)):
-        prolif[n] = float(np.sum(weighted * (p1q - pnq)))
-    return float(np.sum(wq / rq**3)), [prolif[n] for n in ns]
+    return _ModeTerms(rq, weighted, p1q, float(np.sum(wq / rq**3)))
+
+
+def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
+    """Int_0^T 1/R*^3 and each order's proliferation integral, memoized on
+    the orbit's period quadrature."""
+    memo = orbit._mode_memo
+    if "period" not in memo:
+        memo["period"] = _mode_terms(orbit.params, *orbit.quadrature())
+    terms = memo["period"]
+    return terms.tension, terms.integrals(ns)
+
+
+def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[float, float]:
+    """The same two integrals of order n over [0, tau), on 256 Gauss panels.
+    Only the latest window is kept, so the memo stays bounded."""
+    kept, terms = orbit._mode_memo.get("window", (None, None))
+    if kept != tau:
+        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
+        terms = _mode_terms(orbit.params, tq, wq, orbit(tq))
+        orbit._mode_memo["window"] = (tau, terms)
+    (prolif,) = terms.integrals([n])
+    return terms.tension, prolif
 
 
 def _curvature_part(params: ModelParams, n: int, tension: float) -> float:
@@ -93,7 +139,7 @@ def theta_n(orbit: PeriodicSolution, n: int) -> float:
     """Threshold theta_n: mode n decays iff mu < theta_n (n >= 2)."""
     if n < 2:
         raise ValueError("theta_n is defined for n >= 2 (theta_0 = theta_1 = infinity)")
-    tension, (prolif,) = _mode_integrals(orbit.params, *orbit.quadrature(), [n])
+    tension, (prolif,) = _period_integrals(orbit, [n])
     return _threshold(orbit.params, n, tension, prolif)
 
 
@@ -111,7 +157,7 @@ def mode_exponent(
     n = int(n)
     if mu is None:
         mu = orbit.params.mu
-    tension, (prolif,) = _mode_integrals(orbit.params, *orbit.quadrature(), [n])
+    tension, (prolif,) = _period_integrals(orbit, [n])
     return _exponent(orbit, n, mu, tension, prolif)
 
 
@@ -157,8 +203,9 @@ def evolve_mode(
 ) -> float:
     """Amplitude rho_nm(t) of surface mode (n, m); independent of m.
 
-    Whole periods use the cached exponent; the fractional remainder is
-    integrated by composite Gauss-Legendre on the dense orbit.
+    Whole periods use the exponent Lambda_n memoized on the orbit; the
+    fractional remainder is integrated by composite Gauss-Legendre on the
+    dense orbit, with the latest remainder's node terms memoized too.
     """
     if abs(m) > n:
         raise ValueError(f"|m| <= n required, got (n, m) = ({n}, {m})")
@@ -171,8 +218,7 @@ def evolve_mode(
     integral = k * lam * T
     if tau > 0.0:
         params = orbit.params
-        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
-        tension, (prolif,) = _mode_integrals(params, tq, wq, orbit(tq), [n])
+        tension, prolif = _window_integrals(orbit, tau, n)
         integral += _curvature_part(params, n, tension) - params.mu * prolif
     prefactor = (orbit.R_star0 / orbit(t)) ** (n - 1)
     return rho0 * prefactor * math.exp(-integral)
@@ -202,7 +248,7 @@ def mode_decay_bound_check(
     if mu is None:
         mu = orbit.params.mu
     ns = list(n_range)
-    tension, prolif = _mode_integrals(orbit.params, *orbit.quadrature(), [2, *ns])
+    tension, prolif = _period_integrals(orbit, [2, *ns])
     theta2 = _threshold(orbit.params, 2, tension, prolif[0])
     if mu >= theta2:
         raise ValueError("decay bound check requires the stable regime mu < theta_2")
@@ -253,7 +299,7 @@ def analyze(
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
     orbit = find_periodic(params)
-    tension, prolif = _mode_integrals(params, *orbit.quadrature(), range(n_max + 1))
+    tension, prolif = _period_integrals(orbit, range(n_max + 1))
     thresholds = np.array(
         [_threshold(params, n, tension, prolif[n]) for n in range(2, n_max + 1)]
     )

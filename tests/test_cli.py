@@ -74,6 +74,16 @@ class TestPeriodic:
         orbit_rows = (out / "orbit.csv").read_text().splitlines()
         assert orbit_rows[0] == "t,R_star"
 
+    def test_tiny_sigma_tilde_finishes(self, tmp_path):
+        # R* ~ 3e9, where the rate bound's P0' is past the recurrence's depth cap
+        cfg = write_config(tmp_path, sigma_tilde=1e-9)
+        out = tmp_path / "out"
+        assert run("periodic", cfg, out) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["R_star0"] > 1e9
+        assert summary["residual"] <= 1e-11
+        assert summary["delta_hat"] >= 0.95 * summary["delta_bound"] > 0.0
+
     def test_no_periodic_solution_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, sigma_tilde=1.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
@@ -101,6 +111,11 @@ class TestStability:
         out = tmp_path / "out"
         assert run("stability", cfg, out) == 0
         assert len((out / "modes.csv").read_text().splitlines()) == 1 + 101
+
+    def test_n_max_limit_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra={"stability": {"n_max": 10_001}})
+        assert run("stability", cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: stability.n_max must be at most 10000, got 10001\n"
 
     @pytest.mark.parametrize("n_max", [1, 0, 2.5, "abc", True])
     def test_bad_n_max(self, tmp_path, capsys, n_max):
@@ -266,6 +281,8 @@ class TestValidation:
             ("sweep", {**BASE, "sweep": {"mu_grid": [1.0], "sigma": [0.5]}}),
             ("periodic", {**BASE, "periodic": {"rtol": 1e-10}}),
             ("simulate", {**BASE, "simulate": {"n_periods": 10**400}}),
+            ("stability", {**BASE, "stability": {"n_max": 10_001}}),
+            ("stability", {**BASE, "stability": {"n_max": 10**7}}),
         ],
     )
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, config):

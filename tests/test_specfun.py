@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumordyn import SolverError, p0, p0_inverse, pn, pn_derivative, specfun
-from tumordyn.specfun import _ratios
+from tumordyn.specfun import _ratios, p0_derivative
 
 mp.mp.dps = 40
 
@@ -182,6 +182,27 @@ class TestPnDerivative:
             for r in (0.05, 0.7, 3.0, 40.0):
                 fd = (pn(n, r + h) - pn(n, r - h)) / (2 * h)
                 assert pn_derivative(n, r) == pytest.approx(fd, rel=1e-6)
+
+
+class TestP0Derivative:
+    def test_closed_form_against_oracle(self):
+        # P0' = -csch(r)^2/r - coth(r)/r^2 + 2/r^3, from the switch to r = 1e12
+        for r in np.append(np.logspace(math.log10(20.0), 12, 60), 20.0):
+            rm = mp.mpf(float(r))
+            want = -1 / (mp.sinh(rm) ** 2 * rm) - mp.coth(rm) / rm**2 + 2 / rm**3
+            assert p0_derivative(float(r)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_below_switch_is_pn_derivative(self):
+        r = np.append(np.logspace(-4, math.log10(20.0), 50)[:-1], np.nextafter(20.0, 0.0))
+        assert np.array_equal(p0_derivative(r), pn_derivative(0, r))
+        # a batch that straddles the switch keeps the small value's bits
+        assert p0_derivative(np.array([1.3, 6e9]))[0] == pn_derivative(0, 1.3)
+
+    def test_far_past_recurrence_cap(self):
+        # pn_derivative(0, .) needs more than the depth cap here
+        got = p0_derivative(np.array([3e9, 6e9]))
+        assert np.all(got < 0.0)
+        assert got == pytest.approx(-1.0 / np.array([3e9, 6e9]) ** 2, rel=1e-9)
 
 
 class TestP0Inverse:

@@ -20,6 +20,7 @@ from tumordyn import (
     pn,
     rhs,
     theta_n,
+    stability,
 )
 
 
@@ -211,6 +212,69 @@ class TestAnalyze:
         base = analyze(constant_params, n_max=2)
         report = analyze(replace(constant_params, mu=base.mu_star), n_max=2)
         assert report.verdict is Verdict.MARGINAL
+
+
+class TestModeMemo:
+    """Each orbit keeps its mode integrals; warm calls give a cold orbit's bits."""
+
+    def test_warm_equals_cold(self, default_params):
+        orbit = analyze(default_params, n_max=64).orbit
+        fresh = find_periodic(default_params)
+        T = orbit.period
+        for t in (T, 2.0 * T, 2.37 * T):
+            for n in range(65):
+                want = evolve_mode(replace(fresh), n, 0, 0.7, t)
+                assert evolve_mode(orbit, n, 0, 0.7, t) == want
+        for n in range(65):
+            assert mode_exponent(orbit, n, mu=0.3) == mode_exponent(replace(fresh), n, mu=0.3)
+        warm = mode_decay_bound_check(orbit, n_range=range(2, 65))
+        assert warm == mode_decay_bound_check(replace(fresh), n_range=range(2, 65))
+
+    def test_one_pass_per_orbit_and_window(self, default_params, monkeypatch):
+        sizes, builds = [], []
+        ratios, nodes = stability._ratios, stability.gauss_nodes
+
+        def counted_ratios(n_hi, n_lo, r):
+            sizes.append(r.size)
+            return ratios(n_hi, n_lo, r)
+
+        def counted_nodes(edges):
+            builds.append(edges[-1])
+            return nodes(edges)
+
+        monkeypatch.setattr(stability, "_ratios", counted_ratios)
+        monkeypatch.setattr(stability, "gauss_nodes", counted_nodes)
+        orbit = analyze(default_params, n_max=64).orbit
+        period_nodes = orbit.quadrature()[0].size
+        assert sizes == [period_nodes]
+        sizes.clear()
+        T = orbit.period
+        for t in (T, 2.0 * T, 2.37 * T, 3.5 * T):
+            for n in range(65):
+                for m in (0, -n):
+                    evolve_mode(orbit, n, m, 1.0, t)
+        for n in range(2, 65):
+            theta_n(orbit, n)
+            mode_exponent(orbit, n, mu=0.3)
+        mode_decay_bound_check(orbit, n_range=range(2, 65))
+        # no full-period pass: only one pass per order in each of the two windows
+        assert builds == [2.37 * T - 2.0 * T, 0.5 * T]
+        assert sizes == [256 * 8] * (2 * 65)
+
+    def test_orbits_do_not_share_values(self, default_params):
+        a = find_periodic(default_params)
+        b = find_periodic(replace(default_params, mu=2.0))
+        assert theta_n(a, 2) != theta_n(b, 2)
+        assert evolve_mode(a, 3, 0, 1.0, 1.5) != evolve_mode(b, 3, 0, 1.0, 1.5)
+        assert theta_n(b, 2) == theta_n(find_periodic(b.params), 2)
+        assert a._mode_memo is not b._mode_memo
+
+    def test_replace_starts_empty(self, default_orbit):
+        theta_n(default_orbit, 2)
+        copy = replace(default_orbit)
+        assert copy._quad is None and copy._mode_memo == {}
+        with pytest.raises(ValueError):
+            replace(default_orbit, _mode_memo={})
 
 
 class TestClassifyStability:

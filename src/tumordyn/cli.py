@@ -35,9 +35,15 @@ SECTION_KEYS = {
     "stability": ("n_max", "self_consistent"),
     "sweep": ("mu_grid", "sigma_grid"),
 }
-# analyze evaluates every order up to n_max (~0.4 s at this limit for a
-# sinusoid supply on a 2-core x86-64 machine), so a config's count is bounded
+# Work limits, with costs measured for a sinusoid supply on a 2-core x86-64
+# machine.  analyze evaluates every order up to n_max (~0.4 s at the limit).
+# simulate and the periodic rate fit integrate every period they are given
+# (~1 ms per period at mu = 1 and ~10 ms at mu = 100 at simulate's
+# tolerances, twice that at the rate fit's), and simulate writes one CSV row
+# of ~30 bytes per sample (~3 us each).  So every count is bounded.
 _N_MAX_LIMIT = 10_000
+_PERIODS_LIMIT = 10_000
+_ROWS_LIMIT = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -49,6 +55,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
+    if type(x) is float and math.isfinite(x):
+        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -165,10 +173,12 @@ def _positive(opts: dict, section: str, key: str, default: float) -> float:
     return float(x)
 
 
-def _count(opts: dict, section: str, key: str, default: int, low: int) -> int:
+def _count(opts: dict, section: str, key: str, default: int, low: int, high: int | None = None) -> int:
     n = opts.get(key, default)
     if not (type(n) is int and _is_real(n) and n >= low):
         raise ConfigError(f"{section}.{key} must be an integer >= {low} within float range, got {n!r}")
+    if high is not None and n > high:
+        raise ConfigError(f"{section}.{key} must be at most {high}, got {n}")
     return n
 
 
@@ -188,13 +198,18 @@ def _params_summary(params: ModelParams) -> dict:
 def cmd_simulate(config: RunConfig, out: Path) -> None:
     opts = config.options.get("simulate", {})
     R0 = _positive(opts, "simulate", "R0", 1.0)
-    n_periods = _count(opts, "simulate", "n_periods", 10, 1)
+    n_periods = _count(opts, "simulate", "n_periods", 10, 1, _PERIODS_LIMIT)
     samples = _count(opts, "simulate", "samples_per_period", 64, 1)
+    if n_periods * samples > _ROWS_LIMIT:
+        raise ConfigError(
+            f"simulate.n_periods * simulate.samples_per_period must be at most {_ROWS_LIMIT}, "
+            f"got {n_periods * samples}"
+        )
     params = config.params
     T = params.period
     t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
     traj = radial.integrate(params, R0, 0.0, n_periods * T, t_eval=t_eval)
-    _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times, traj.radii))
+    _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
 
     verdict = radial.classify_radial(params)
     summary = {
@@ -205,7 +220,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
         "final_radius": float(traj.radii[-1]),
     }
     if verdict is Classification.EXTINCTION:
-        report = radial.extinction_diagnostics(params, R0, n_periods)
+        report = radial.extinction_diagnostics(params, traj)
         summary["extinction_check"] = {
             "period_radii": list(report.period_radii),
             "nonincreasing_ok": report.nonincreasing_ok,
@@ -220,10 +235,10 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
     tol = _positive(opts, "periodic", "tol", 1e-11)
     rate_factor = _positive(opts, "periodic", "rate_R0_factor", 2.0)
     # convergence_rate fits at least 4 periods after its 10-period burn-in
-    rate_periods = _count(opts, "periodic", "rate_n_periods", 30, 13)
+    rate_periods = _count(opts, "periodic", "rate_n_periods", 30, 13, _PERIODS_LIMIT)
     params = config.params
     orbit = periodic_mod.find_periodic(params, tol=tol)
-    _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times, orbit.radii))
+    _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times.tolist(), orbit.radii.tolist()))
 
     fit = periodic_mod.convergence_rate(
         params, rate_factor * orbit.R_star0, rate_periods, orbit=orbit
@@ -244,9 +259,7 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
 
 def cmd_stability(config: RunConfig, out: Path) -> None:
     opts = config.options.get("stability", {})
-    n_max = _count(opts, "stability", "n_max", stability.DEFAULT_N_MAX, 2)
-    if n_max > _N_MAX_LIMIT:
-        raise ConfigError(f"stability.n_max must be at most {_N_MAX_LIMIT}, got {n_max}")
+    n_max = _count(opts, "stability", "n_max", stability.DEFAULT_N_MAX, 2, _N_MAX_LIMIT)
     self_consistent = opts.get("self_consistent", False)
     if type(self_consistent) is not bool:
         raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")

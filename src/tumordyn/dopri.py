@@ -11,7 +11,9 @@ rows and the dense coefficients go through ``np.dot`` on a (7, 1) stage array
 with the call shapes of scipy's ``rk_step``: numpy's dot may accumulate with
 fused multiply-adds, and plain float sums would round differently.  So the
 step sequence, the evaluation count and every value are those of
-``solve_ivp(method="RK45")``.
+``solve_ivp(method="RK45")``.  The dense output is read in bulk but keeps one
+``np.dot`` per step group, with that group's shape, for the same reason
+(see ``DenseSolution``).
 """
 
 from __future__ import annotations
@@ -58,6 +60,13 @@ class DenseSolution:
     ``ts`` and ``ys`` hold the step ends and the solution there.  A time on
     a step end belongs to the step that ends there; times outside
     [ts[0], ts[-1]] use the first or last step's polynomial.
+
+    An array of times is evaluated in bulk: step indices, h, x and the power
+    rows [x, x^2, x^3, x^4] with array ops, then exactly one ``np.dot`` per
+    step group on a C-contiguous (4, k) block, as scipy's ``RkDenseOutput``
+    does.  BLAS picks its kernel by shape, so one batched product over all
+    groups would round differently (a group of one is an FMA chain, a wider
+    one is neither that nor a plain sum) and move bits.
     """
 
     def __init__(self, ts, ys, qs):
@@ -65,33 +74,41 @@ class DenseSolution:
         self.ys = np.array(ys)
         self._qs = qs  # the (1, 4) dense coefficients of each step
 
-    def _segment_values(self, i, t):
-        t_old = self.ts[i]
-        h = self.ts[i + 1] - t_old
-        x = (t - t_old) / h
-        if t.ndim == 0:
-            p = np.cumprod(np.tile(x, 4))
-        else:
-            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-        return h * np.dot(self._qs[i], p)[0] + self.ys[i]
-
     def __call__(self, t):
-        """R at a time (a float) or at an array of times (an array)."""
+        """R at a time (a float) or at an array of times (an array of that shape)."""
         t = np.asarray(t, dtype=float)
         last = len(self._qs) - 1
         if t.ndim == 0:
-            i = int(np.searchsorted(self.ts, t, side="left"))
-            return float(self._segment_values(min(max(i - 1, 0), last), t))
-        order = np.argsort(t)
-        t_sorted = t[order]
+            i = min(max(int(np.searchsorted(self.ts, t, side="left")) - 1, 0), last)
+            h = self.ts[i + 1] - self.ts[i]
+            p = np.cumprod(np.tile((t - self.ts[i]) / h, 4))
+            return float(h * np.dot(self._qs[i], p)[0] + self.ys[i])
+        n = t.size
+        if n == 0:
+            return np.empty(t.shape)
+        order = np.argsort(t, axis=None)
+        t_sorted = t.ravel()[order]
         seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
-        cuts = [0, *(np.flatnonzero(np.diff(seg)) + 1).tolist(), len(seg)]
-        values = np.concatenate([
-            self._segment_values(int(seg[a]), t_sorted[a:b]) for a, b in zip(cuts, cuts[1:])
-        ])
-        out = np.empty_like(values)
-        out[order] = values
-        return out
+        t_old = self.ts[seg]
+        h = self.ts[seg + 1] - t_old
+        x = (t_sorted - t_old) / h
+        # the k points of a group starting at a fill powers[4a : 4a + 4k] row by row
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        sizes = np.diff(starts, append=n)
+        k = np.repeat(sizes, sizes)
+        slot = 3 * np.repeat(starts, sizes) + np.arange(n)
+        powers = np.empty(4 * n)
+        p = x
+        for row in range(4):
+            powers[slot + row * k] = p
+            p = p * x
+        d = np.empty((1, n))
+        qs, dot = self._qs, np.dot
+        for i, a, m in zip(seg[starts].tolist(), starts.tolist(), sizes.tolist()):
+            dot(qs[i], powers[4 * a : 4 * (a + m)].reshape(4, m), out=d[:, a : a + m])
+        out = np.empty(n)
+        out[order] = h * d[0] + self.ys[seg]
+        return out.reshape(t.shape)
 
 
 def _norm(x: float) -> float:

@@ -9,11 +9,15 @@ positivity are enforced at construction.
 A plain number is evaluated without building arrays (the radius ODE calls the
 schedule once per right-hand-side evaluation); each form's ``_value`` is one
 formula written with ufuncs that take floats and arrays alike, so a float
-and an array of the same times give the same bits.
+and an array of the same times give the same bits.  On a float each ufunc
+result is a Python float at once (``_ufunc``), so no numpy-scalar arithmetic
+follows; the IEEE operations are the same.  The ufuncs stay: numpy's SIMD
+sin and cos may round differently from ``math``'s.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +27,12 @@ from .errors import ScheduleError
 from .roots import refine_extremum
 
 _SCAN_SAMPLES = 4096
+
+
+def _ufunc(f, x):
+    """f(x) for a numpy ufunc f, as a Python float when x is a float."""
+    y = f(x)
+    return float(y) if isinstance(x, float) else y
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,8 @@ class SinusoidSchedule(NutrientSchedule):
         self._check_positive()
 
     def _value(self, tau):
-        return self.mean_level + self.amplitude * np.sin(
-            2.0 * math.pi * tau / self.period
-        )
+        w = 2.0 * math.pi * tau / self.period
+        return self.mean_level + self.amplitude * _ufunc(np.sin, w)
 
     def _stats(self):
         a = abs(self.amplitude)
@@ -160,9 +169,9 @@ class FourierSchedule(NutrientSchedule):
         w = 2.0 * math.pi * tau / self.period
         out = self.mean_level if isinstance(w, float) else np.full_like(w, self.mean_level)
         for k, a in enumerate(self.cos_coeffs, start=1):
-            out = out + a * np.cos(k * w)
+            out = out + a * _ufunc(np.cos, k * w)
         for k, b in enumerate(self.sin_coeffs, start=1):
-            out = out + b * np.sin(k * w)
+            out = out + b * _ufunc(np.sin, k * w)
         return out
 
     def _scan_extrema(self):
@@ -212,7 +221,17 @@ class PiecewiseLinearSchedule(NutrientSchedule):
         self._check_positive()
 
     def _value(self, tau):
-        return np.interp(tau, self.knot_times, self.knot_values)
+        if not isinstance(tau, float):
+            return np.interp(tau, self.knot_times, self.knot_values)
+        # np.interp's own formula: the knot's value on a knot, the last value
+        # from the last knot on, else slope * (tau - t_j) + v_j; tau >= t_0 = 0
+        t, v = self.knot_times, self.knot_values
+        j = bisect.bisect_right(t, tau) - 1
+        if j >= len(t) - 1:
+            return v[-1]
+        if t[j] == tau:
+            return v[j]
+        return (v[j + 1] - v[j]) / (t[j + 1] - t[j]) * (tau - t[j]) + v[j]
 
     def _stats(self):
         t = np.asarray(self.knot_times)

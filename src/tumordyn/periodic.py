@@ -8,6 +8,7 @@ F(R0) - R0 found by Brent's method (``roots.find_root``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
-from .radial import ModelParams, integrate, rhs
+from .radial import ModelParams, Trajectory, integrate, rhs
 from .roots import find_root, refine_extremum
 # pn_derivative stays bound here because bench/tracing.py wraps this site
 from .specfun import p0_derivative, p0_inverse, pn_derivative  # noqa: F401
@@ -55,8 +56,15 @@ def bracket(params: ModelParams) -> tuple[float, float]:
 
 def poincare_map(params: ModelParams, R0: float) -> float:
     """One-period solution map R0 -> R(T)."""
-    traj = integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
-    return float(traj.radii[-1])
+    return float(_one_period(params, R0).radii[-1])
+
+
+@functools.lru_cache(maxsize=1)
+def _one_period(params: ModelParams, R0: float) -> Trajectory:
+    """The dense solve behind the latest map evaluation, kept so that
+    ``find_periodic`` reads its orbit from Brent's last point instead of
+    integrating that period again."""
+    return integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
 
 
 def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -128,11 +136,10 @@ def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
     # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
     r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
+    # Brent's root is almost always its last map evaluation, so this is a
+    # memo hit; t_eval never moves a step, so the samples are a fresh solve's
     t_eval = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
-    traj = integrate(
-        params, r, 0.0, params.period,
-        rtol=POINCARE_RTOL, atol=POINCARE_ATOL, t_eval=t_eval,
-    )
+    traj = _one_period(params, r).resample(t_eval)
     residual = abs(float(traj.radii[-1]) - r)
     if residual > tol * min(1.0, r):
         raise SolverError(f"fixed-point residual {residual:.3e} exceeds tolerance {tol * min(1.0, r):.3e}")

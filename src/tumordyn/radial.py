@@ -4,14 +4,14 @@ dR/dt = mu * R * [Phi(t) * P0(R) - sigma_tilde / 3]
 
 R = 0 is invariant; positive solutions stay positive.  Extinction versus
 persistence is decided analytically by comparing sigma_tilde with the period
-mean of the nutrient supply; integration is used only for diagnostics.
+mean of the nutrient supply; a solve is only read for diagnostics.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,10 +79,23 @@ class Trajectory:
     _interp: dopri.DenseSolution = field(repr=False)
 
     def __call__(self, t):
+        """R at a time (a float) or at an array of times (an array of that shape)."""
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t0 - 1e-12) or np.any(t > self.t1 + 1e-12):
             raise ValueError("evaluation time outside the integrated span")
         return self._interp(np.clip(t, self.t0, self.t1))
+
+    def resample(self, t_eval) -> Trajectory:
+        """This solve read at the 1-D times t_eval, as ``integrate(...,
+        t_eval=t_eval)`` would return it: ``t_eval`` never moves a step."""
+        t_eval = np.asarray(t_eval, dtype=float)
+        return replace(self, times=t_eval, radii=_require_positive(self(t_eval)))
+
+
+def _require_positive(radii: np.ndarray) -> np.ndarray:
+    if np.any(radii <= 0.0):
+        raise SolverError("integration produced a non-positive radius")
+    return radii
 
 
 def integrate(
@@ -114,18 +127,19 @@ def integrate(
     interp, nfev = dopri.solve(
         lambda t, R: rhs(params, t, max(R, 0.0)), float(t0), float(R0), float(t1), rtol, atol
     )
-    times, radii = (interp.ts, interp.ys) if t_eval is None else (t_eval, interp(t_eval))
-    if np.any(radii <= 0.0):
-        raise SolverError("integration produced a non-positive radius")
-    return Trajectory(
-        times=times,
-        radii=radii,
+    traj = Trajectory(
+        times=interp.ts,
+        radii=interp.ys,
         t0=t0,
         t1=t1,
         steps=len(interp.ts) - 1,
         nfev=nfev,
         _interp=interp,
     )
+    if t_eval is not None:
+        return traj.resample(t_eval)
+    _require_positive(traj.radii)
+    return traj
 
 
 def classify_radial(params: ModelParams) -> Classification:
@@ -146,21 +160,25 @@ class ExtinctionReport:
     violations: list[str]
 
 
-def extinction_diagnostics(params: ModelParams, R0: float, n_periods: int) -> ExtinctionReport:
-    """Integrate n_periods and check the proof-backed decay structure.
+def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionReport:
+    """Check the proof-backed decay structure on a solve over whole periods.
 
-    Verifies (a) R(kT) is non-increasing and (b) within each period
-    R(t) <= R(kT) * exp(mu*max(0, Phi_max - sigma_tilde)*T/3) on a grid,
+    ``traj`` must start at t = 0 and end at n*T for an integer n >= 1, and is
+    judged with the slack of integrate's default tolerances; it is read on a
+    grid of _GRID_PER_PERIOD points per period.  Verifies (a) R(kT)
+    is non-increasing and (b) within each period
+    R(t) <= R(kT) * exp(mu*max(0, Phi_max - sigma_tilde)*T/3) on that grid,
     which follows from dR/dt <= mu*R*(Phi_max - sigma_tilde)/3 since P0 <= 1/3.
     """
     if classify_radial(params) is not Classification.EXTINCTION:
         raise ValueError("extinction diagnostics require sigma_tilde >= mean(Phi)")
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-
     T = params.period
+    n_periods = round(traj.t1 / T)
+    if traj.t0 != 0.0 or n_periods < 1 or traj.t1 != n_periods * T:
+        raise ValueError("extinction diagnostics need a solve from t = 0 over whole periods")
+
     t_grid = np.linspace(0.0, n_periods * T, n_periods * _GRID_PER_PERIOD + 1)
-    traj = integrate(params, R0, 0.0, n_periods * T, t_eval=t_grid)
+    traj = traj.resample(t_grid)
 
     rk = traj.radii[::_GRID_PER_PERIOD]
     tk = traj.times[::_GRID_PER_PERIOD]

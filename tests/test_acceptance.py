@@ -58,7 +58,7 @@ def test_criterion_2_radial_classification(sinusoid, default_params):
     for sigma in (1.0, 1.2):
         params = replace(default_params, sigma_tilde=sigma)
         assert classify_radial(params) is Classification.EXTINCTION
-        report = extinction_diagnostics(params, 1.0, 200)
+        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 200 * params.period))
         assert report.nonincreasing_ok, report.violations
         if sigma == 1.0:
             # borderline case decays slowly but measurably

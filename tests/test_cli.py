@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tumordyn import cli, specfun
+from tumordyn import cli, periodic, radial, specfun
 from tumordyn.cli import main
 
 BASE = {
@@ -60,6 +60,22 @@ class TestSimulate:
         assert check["nonincreasing_ok"] is True
         assert check["within_period_cap_ok"] is True
         assert check["violations"] == []
+
+    def test_extinction_run_integrates_once(self, tmp_path, monkeypatch):
+        calls = []
+        inner = radial.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "integrate", counted)
+        cfg = write_config(
+            tmp_path, extra={"simulate": {"R0": 1.0, "n_periods": 8}}, sigma_tilde=1.2
+        )
+        assert run("simulate", cfg, tmp_path / "out") == 0
+        assert "extinction_check" in json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert calls == [1.0]
 
 
 class TestPeriodic:
@@ -283,6 +299,10 @@ class TestValidation:
             ("simulate", {**BASE, "simulate": {"n_periods": 10**400}}),
             ("stability", {**BASE, "stability": {"n_max": 10_001}}),
             ("stability", {**BASE, "stability": {"n_max": 10**7}}),
+            ("simulate", {**BASE, "simulate": {"n_periods": 10_001}}),
+            ("simulate", {**BASE, "simulate": {"n_periods": 10_000, "samples_per_period": 101}}),
+            ("simulate", {**BASE, "simulate": {"samples_per_period": 10**15}}),
+            ("periodic", {**BASE, "periodic": {"rate_n_periods": 10_001}}),
         ],
     )
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, config):
@@ -293,6 +313,30 @@ class TestValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         # a rejected config leaves no output directory behind
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, section, message",
+        [
+            ("simulate", {"n_periods": 10_001}, "simulate.n_periods must be at most 10000, got 10001"),
+            (
+                "simulate",
+                {"n_periods": 20, "samples_per_period": 50_001},
+                "simulate.n_periods * simulate.samples_per_period must be at most 1000000, got 1000020",
+            ),
+            ("periodic", {"rate_n_periods": 10_001}, "periodic.rate_n_periods must be at most 10000, got 10001"),
+        ],
+    )
+    def test_work_limits_named(self, tmp_path, capsys, monkeypatch, command, section, message):
+        # the limit is checked before anything is solved or allocated
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected config reached the solver")
+
+        monkeypatch.setattr(radial, "integrate", never)
+        monkeypatch.setattr(periodic, "find_periodic", never)
+        cfg = write_config(tmp_path, extra={command: section})
+        assert run(command, cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_is_named(self, tmp_path, capsys):

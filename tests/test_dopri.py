@@ -76,6 +76,8 @@ def test_matches_rk45_bitwise(case):
 
     rng = np.random.default_rng(len(sol.t))
     points = np.concatenate([rng.uniform(0.0, t1, 400), sol.t[::7]])
+    # unsorted, with duplicates and with exact step ends
+    points = rng.permutation(np.concatenate([points, rng.choice(points, 60), sol.t[::3]]))
     assert np.array_equal(traj(points), sol.sol(points)[0])
     for t in points[::37]:
         assert traj(t) == sol.sol(t)[0]
@@ -94,6 +96,21 @@ def test_steps_do_not_depend_on_t_eval(default_params):
         sampled = integrate(default_params, 1.0, 0.0, 3.0, t_eval=t_eval)
         assert sampled.steps == free.steps == len(free.times) - 1
         assert sampled.nfev == free.nfev
+
+
+def test_empty_and_nd_times(default_params, default_orbit):
+    traj = integrate(default_params, 1.0, 0.0, 3.0)
+    t = np.random.default_rng(3).uniform(0.0, 3.0, (6, 7, 5))
+    for f in (traj._interp, traj, default_orbit):
+        for empty in ([], np.empty((0, 4))):
+            got = f(empty)
+            assert got.dtype == np.float64 and got.shape == np.shape(empty)
+        got = f(t)
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), f(t.ravel()).reshape(t.shape).view(np.int64))
+    sampled = integrate(default_params, 1.0, 0.0, 3.0, t_eval=[])
+    assert sampled.times.size == sampled.radii.size == 0
+    assert sampled.steps == traj.steps
 
 
 def test_bad_t_eval_rejected(default_params):

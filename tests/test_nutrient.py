@@ -161,7 +161,8 @@ FORMS = [
 def test_float_path_bit_equal_to_array_path(schedule):
     """A float skips the array machinery in __call__; both paths give the same bits."""
     T = schedule.period
-    knots = [k * T + x for k in range(4) for x in getattr(schedule, "knot_times", ())]
+    knots = np.array([k * T + x for k in range(4) for x in getattr(schedule, "knot_times", ())])
+    knots = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
     t = np.concatenate([np.linspace(-0.5 * T, 4.0 * T, 4001), [0.0, T, 2.0 * T, 3.0 * T], knots])
     scalar = [schedule(float(x)) for x in t]
     assert all(type(v) is float for v in scalar)

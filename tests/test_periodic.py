@@ -11,6 +11,7 @@ from tumordyn import (
     bracket,
     convergence_rate,
     find_periodic,
+    integrate,
     p0,
     p0_inverse,
     periodic,
@@ -82,6 +83,35 @@ class TestFindPeriodic:
         orbit = find_periodic(default_params)
         assert orbit.residual <= 1e-11
         assert len(calls) <= 8
+
+    def test_orbit_read_from_last_map_solve(self, default_params, monkeypatch):
+        # Brent's root is its last map evaluation here, so storing the orbit
+        # integrates no extra period
+        maps, solves = [], []
+        inner_map, inner_integrate = periodic.poincare_map, periodic.integrate
+
+        def counted_map(*args, **kwargs):
+            maps.append(args[1])
+            return inner_map(*args, **kwargs)
+
+        def counted_integrate(*args, **kwargs):
+            solves.append(args[1])
+            return inner_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(periodic, "poincare_map", counted_map)
+        monkeypatch.setattr(periodic, "integrate", counted_integrate)
+        find_periodic(default_params)
+        assert len(solves) == len(maps) >= 3
+
+    def test_stored_orbit_bit_equal_to_fresh_solve(self, default_params, default_orbit):
+        T = default_params.period
+        fresh = integrate(
+            default_params, default_orbit.R_star0, 0.0, T,
+            rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL,
+            t_eval=np.linspace(0.0, T, 1025),
+        )
+        assert np.array_equal(default_orbit.times, fresh.times)
+        assert np.array_equal(default_orbit.radii.view(np.int64), fresh.radii.view(np.int64))
 
     def test_extrema_match_dense_scan(self, default_orbit):
         rr = default_orbit(np.linspace(0.0, default_orbit.period, 400_001))

@@ -124,7 +124,7 @@ class TestClassification:
 class TestExtinctionDiagnostics:
     def test_strict_extinction(self, default_params):
         params = replace(default_params, sigma_tilde=1.2)
-        report = extinction_diagnostics(params, 1.0, 80)
+        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 80 * params.period))
         assert report.nonincreasing_ok
         assert report.cap_ok
         assert not report.violations
@@ -132,11 +132,27 @@ class TestExtinctionDiagnostics:
 
     def test_requires_extinction_regime(self, default_params):
         with pytest.raises(ValueError):
-            extinction_diagnostics(default_params, 1.0, 5)
+            extinction_diagnostics(default_params, integrate(default_params, 1.0, 0.0, 5.0))
+
+    def test_requires_solve_over_whole_periods(self, default_params):
+        params = replace(default_params, sigma_tilde=1.2)
+        for t0, t1 in ((0.5, 3.0), (0.0, 2.5), (0.0, 0.4)):
+            with pytest.raises(ValueError, match="whole periods"):
+                extinction_diagnostics(params, integrate(params, 1.0, t0, t1))
+
+    def test_samples_are_a_fresh_solve(self, default_params):
+        # t_eval never moves a step, so reading one solve on the 32-per-period
+        # grid gives the bits of a second solve that samples that grid
+        params = replace(default_params, sigma_tilde=1.1)
+        traj = integrate(params, 1.0, 0.0, 12.0, t_eval=np.linspace(0.0, 12.0, 12 * 5 + 1))
+        report = extinction_diagnostics(params, traj)
+        fresh = integrate(params, 1.0, 0.0, 12.0, t_eval=np.linspace(0.0, 12.0, 12 * 32 + 1))
+        assert np.array_equal(report.period_radii, fresh.radii[::32])
+        assert report.final_radius == fresh.radii[-1]
 
     def test_period_marks_shape(self, default_params):
         params = replace(default_params, sigma_tilde=1.1)
-        report = extinction_diagnostics(params, 1.0, 10)
+        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 10 * params.period))
         assert len(report.period_times) == 11
         assert report.period_times[-1] == pytest.approx(10.0)
 
@@ -146,7 +162,7 @@ class TestExtinctionDiagnostics:
         params = ModelParams(
             mu=1.0, sigma_tilde=1.1, gamma=1.0, schedule=ConstantSchedule(period=1.0, value=1.0)
         )
-        report = extinction_diagnostics(params, 1.0, 30)
+        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 30 * params.period))
         assert report.nonincreasing_ok
         assert report.cap_ok
         assert report.violations == []

@@ -163,6 +163,12 @@ class TestPnDerivative:
         for r in np.logspace(-4, math.log10(3e3), 40):
             assert pn_derivative(n, float(r)) == pytest.approx(pn_derivative_oracle(n, r), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n", [0, 2, 5])
+    def test_large_argument_within_stated_bound(self, n):
+        # the docstring's bound: P_{n+1} - P_n cancels as both tend to 1/r
+        for r in (1e2, 1e4, 1e5):
+            assert pn_derivative(n, r) == pytest.approx(pn_derivative_oracle(n, r), rel=4.0e-10, abs=0.0)
+
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_negative(self, r):
         assert pn_derivative(0, r) < 0.0

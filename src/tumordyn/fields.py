@@ -18,7 +18,7 @@ import numpy as np
 from . import stability
 from .periodic import PeriodicSolution
 from .radial import rhs
-from .specfun import p0, pn
+from .specfun import _check_order, p0, pn
 
 
 def _sinh_ratio(r: float, R: float) -> float:
@@ -100,8 +100,7 @@ def _legendre_norm(n: int, m: int, x: np.ndarray) -> np.ndarray:
 
 def spherical_harmonic(n: int, m: int, theta, phi):
     """Orthonormal Y_nm(theta, phi); Y_{n,-m} = (-1)^m * conj(Y_{n,m})."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"degree n must be a nonnegative integer, got {n!r}")
+    n = _check_order(n)
     if abs(m) > n:
         raise ValueError(f"|m| <= n required, got (n, m) = ({n}, {m})")
     theta_arr = np.asarray(theta, dtype=float)
@@ -109,7 +108,7 @@ def spherical_harmonic(n: int, m: int, theta, phi):
     if np.any(theta_arr < -1e-12) or np.any(theta_arr > math.pi + 1e-12):
         raise ValueError("theta must lie in [0, pi]")
     k = abs(m)
-    legendre = _legendre_norm(int(n), k, np.cos(theta_arr))
+    legendre = _legendre_norm(n, k, np.cos(theta_arr))
     val = legendre * np.exp(1j * k * phi_arr)
     if m < 0:
         val = (-1.0) ** k * np.conj(val)

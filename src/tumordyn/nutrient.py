@@ -37,16 +37,18 @@ def _ufunc(f, x):
 
 @dataclass(frozen=True)
 class NutrientSchedule:
-    """Base class; subclasses fill in the in-period evaluation and stats."""
+    """Base class; each form fills in the in-period evaluation and sets the
+    period statistics once (``_set_stats``), outside ``__init__`` and ``==``."""
 
     period: float
+    mean: float = field(init=False, repr=False, compare=False)
+    maximum: float = field(init=False, repr=False, compare=False)
+    minimum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_finite(period=self.period)
         if not self.period > 0.0:
             raise ScheduleError(f"period must be positive, got {self.period}")
-
-    # -- evaluation -------------------------------------------------------
 
     def __call__(self, t):
         if isinstance(t, (float, int)):
@@ -56,27 +58,6 @@ class NutrientSchedule:
         return float(out) if np.isscalar(t) else out
 
     def _value(self, tau):
-        raise NotImplementedError
-
-    # -- period statistics -------------------------------------------------
-
-    @property
-    def mean(self) -> float:
-        return self._stats()[0]
-
-    @property
-    def maximum(self) -> float:
-        return self._stats()[1]
-
-    @property
-    def minimum(self) -> float:
-        return self._stats()[2]
-
-    def stats(self) -> tuple[float, float, float]:
-        """(mean, max, min) over one period."""
-        return self._stats()
-
-    def _stats(self) -> tuple[float, float, float]:
         raise NotImplementedError
 
     def _check_finite(self, **values):
@@ -100,13 +81,17 @@ class NutrientSchedule:
         self._check_finite(**{f"{name}[{i}]": x for i, x in enumerate(out)})
         return out
 
-    def _check_positive(self):
-        self._check_finite(mean=self.mean, maximum=self.maximum, minimum=self.minimum)
-        if self.minimum <= 0.0:
+    def _set_stats(self, mean: float, maximum: float, minimum: float):
+        """Store the period mean, max and min; all finite, min > 0."""
+        self._check_finite(mean=mean, maximum=maximum, minimum=minimum)
+        if minimum <= 0.0:
             raise ScheduleError(
                 f"{type(self).__name__} schedule is not strictly positive "
-                f"(min = {self.minimum})"
+                f"(min = {minimum})"
             )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "maximum", maximum)
+        object.__setattr__(self, "minimum", minimum)
 
 
 @dataclass(frozen=True)
@@ -116,15 +101,12 @@ class ConstantSchedule(NutrientSchedule):
     def __post_init__(self):
         super().__post_init__()
         self._check_finite(value=self.value)
-        self._check_positive()
+        self._set_stats(self.value, self.value, self.value)
 
     def _value(self, tau):
         if isinstance(tau, float):
             return self.value
         return np.full_like(np.asarray(tau, dtype=float), self.value)[()]
-
-    def _stats(self):
-        return (self.value, self.value, self.value)
 
 
 @dataclass(frozen=True)
@@ -137,15 +119,12 @@ class SinusoidSchedule(NutrientSchedule):
     def __post_init__(self):
         super().__post_init__()
         self._check_finite(mean=self.mean_level, amplitude=self.amplitude)
-        self._check_positive()
+        a = abs(self.amplitude)
+        self._set_stats(self.mean_level, self.mean_level + a, self.mean_level - a)
 
     def _value(self, tau):
         w = 2.0 * math.pi * tau / self.period
         return self.mean_level + self.amplitude * _ufunc(np.sin, w)
-
-    def _stats(self):
-        a = abs(self.amplitude)
-        return (self.mean_level, self.mean_level + a, self.mean_level - a)
 
 
 @dataclass(frozen=True)
@@ -155,15 +134,13 @@ class FourierSchedule(NutrientSchedule):
     mean_level: float = 1.0
     cos_coeffs: tuple[float, ...] = ()
     sin_coeffs: tuple[float, ...] = ()
-    _cached: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         self._check_finite(mean=self.mean_level)
         object.__setattr__(self, "cos_coeffs", self._finite_tuple("cos_coeffs", self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", self._finite_tuple("sin_coeffs", self.sin_coeffs))
-        object.__setattr__(self, "_cached", self._scan_extrema())
-        self._check_positive()
+        self._set_stats(*self._scan_extrema())
 
     def _value(self, tau):
         w = 2.0 * math.pi * tau / self.period
@@ -191,9 +168,6 @@ class FourierSchedule(NutrientSchedule):
         down = sum(k * a * math.sin(k * w) for k, a in enumerate(self.cos_coeffs, start=1))
         return sum(k * b * math.cos(k * w) for k, b in enumerate(self.sin_coeffs, start=1)) - down
 
-    def _stats(self):
-        return self._cached
-
 
 @dataclass(frozen=True)
 class PiecewiseLinearSchedule(NutrientSchedule):
@@ -218,7 +192,7 @@ class PiecewiseLinearSchedule(NutrientSchedule):
             raise ScheduleError(
                 "piecewise table must close periodically (first value == last value)"
             )
-        self._check_positive()
+        self._set_stats(float(np.trapezoid(v, t) / self.period), max(v), min(v))
 
     def _value(self, tau):
         if not isinstance(tau, float):
@@ -232,12 +206,6 @@ class PiecewiseLinearSchedule(NutrientSchedule):
         if t[j] == tau:
             return v[j]
         return (v[j + 1] - v[j]) / (t[j + 1] - t[j]) * (tau - t[j]) + v[j]
-
-    def _stats(self):
-        t = np.asarray(self.knot_times)
-        v = np.asarray(self.knot_values)
-        mean = float(np.trapezoid(v, t) / self.period)
-        return (mean, float(v.max()), float(v.min()))
 
 
 def schedule_from_spec(spec: dict) -> NutrientSchedule:

@@ -24,8 +24,6 @@ from .specfun import p0_derivative, p0_inverse, pn_derivative  # noqa: F401
 POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_SEGMENTS = 1024
-_QUAD_NODES_PER_SEGMENT = 8
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
 
 
 def bracket(params: ModelParams) -> tuple[float, float]:
@@ -34,7 +32,7 @@ def bracket(params: ModelParams) -> tuple[float, float]:
     x2 = P0^{-1}(sigma_tilde / (3 Phi_max)) and
     x_bar = P0^{-1}(sigma_tilde / (3 mean Phi)) * exp(-mu (Phi_max - sigma_tilde) T / 3).
     """
-    mean, phi_max, _ = params.schedule.stats()
+    mean, phi_max = params.schedule.mean, params.schedule.maximum
     if params.sigma_tilde >= mean:
         raise NoPeriodicSolutionError(
             "no positive periodic solution: sigma_tilde >= mean nutrient supply"
@@ -67,25 +65,12 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
     return integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
 
 
-def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on the intervals between
-    consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
-    to edges[-1] - edges[0]."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    tq = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    wq = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return tq, wq
-
-
 @dataclass
 class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
-    The node cache and the mode-integral memo of ``stability`` are not
-    constructor arguments, so ``dataclasses.replace`` starts both empty.
+    The mode-integral memo of ``stability`` is not a constructor argument,
+    so ``dataclasses.replace`` starts it empty.
     """
 
     params: ModelParams
@@ -98,7 +83,6 @@ class PeriodicSolution:
     residual: float
     bracket: tuple[float, float]
     _interp: DenseSolution = field(repr=False)
-    _quad: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
@@ -106,20 +90,11 @@ class PeriodicSolution:
         t = np.asarray(t, dtype=float)
         return self._interp(t % self.period)
 
-    def quadrature(self):
-        """Cached composite Gauss-Legendre nodes over the stored period.
-
-        Returns (t_nodes, weights, R_nodes); weights sum to the period.
-        """
-        if self._quad is None:
-            tq, wq = gauss_nodes(self.times)
-            rq = self._interp(tq)
-            self._quad = (tq, wq, rq)
-        return self._quad
-
 
 def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
     """Locate the fixed point of the Poincare map and store one dense period."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x_bar, x2 = bracket(params)
 
     def G(r0: float) -> float:

@@ -36,7 +36,12 @@ def _as_positive_array(r):
 
 
 def _check_order(n: int) -> int:
-    if n != int(n) or n < 0:
+    """n as an int; ValueError unless n is a nonnegative whole number."""
+    try:
+        ok = n == int(n) and n >= 0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"order n must be a nonnegative integer, got {n!r}")
     return int(n)
 

@@ -12,11 +12,11 @@ kept out of Lambda_n).  Mode n decays iff mu < theta_n, and the critical
 proliferation coefficient is mu_star = theta_2.
 
 The integrand is evaluated in one place, ``_mode_terms`` with its
-``_ModeTerms.integrals``, on composite Gauss-Legendre nodes from
-``periodic.gauss_nodes``.  Its order-free node terms and every integral taken
-from them are memoized on the orbit: the whole period once per orbit, with
-each order's integral computed once, and the latest fractional window
-[0, tau) that ``evolve_mode`` asked for.
+``_ModeTerms.integrals``, on the composite Gauss-Legendre nodes of
+``gauss_nodes``, the package's only quadrature rule.  Its order-free node
+terms and every integral taken from them are memoized on the orbit: the
+whole period once per orbit, with each order's integral computed once, and
+the latest fractional window [0, tau) that ``evolve_mode`` asked for.
 """
 
 from __future__ import annotations
@@ -28,13 +28,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoPeriodicSolutionError, SolverError
-from .periodic import PeriodicSolution, find_periodic, gauss_nodes
+from .periodic import PeriodicSolution, find_periodic
 from .radial import ModelParams
 from .roots import find_root
-from .specfun import _ratios, pn
+from .specfun import _check_order, _ratios, pn
 
 DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
+_QUAD_NODES_PER_SEGMENT = 8
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
 
 
 class Verdict(enum.Enum):
@@ -50,10 +52,10 @@ class ModeExponent:
     floquet_multiplier: float
 
 
-def classify_stability(mu: float, theta2: float, band: float = MARGINAL_BAND) -> Verdict:
+def classify_stability(mu: float, theta2: float) -> Verdict:
     """Verdict for mu against the critical theta_2; |mu - theta_2| within
-    band * theta_2 counts as marginal."""
-    if abs(mu - theta2) <= band * theta2:
+    MARGINAL_BAND * theta_2 counts as marginal."""
+    if abs(mu - theta2) <= MARGINAL_BAND * theta2:
         return Verdict.MARGINAL
     if mu < theta2:
         return Verdict.LINEARLY_STABLE
@@ -87,21 +89,35 @@ class _ModeTerms:
         return [self.prolif[n] for n in ns]
 
 
-def _mode_terms(
-    params: ModelParams, tq: np.ndarray, wq: np.ndarray, rq: np.ndarray
-) -> _ModeTerms:
-    """Mode terms on the nodes tq (weights wq, radii rq = R*(tq))."""
+def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on the intervals between
+    consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
+    to edges[-1] - edges[0]."""
+    lo = edges[:-1]
+    hi = edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    tq = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    wq = (half[:, None] * _GAUSS_W[None, :]).ravel()
+    return tq, wq
+
+
+def _mode_terms(orbit: PeriodicSolution, edges: np.ndarray) -> _ModeTerms:
+    """Mode terms on the Gauss nodes between edges in [0, T]; every node is
+    inside the stored period, so orbit() reads it without wrapping."""
+    tq, wq = gauss_nodes(edges)
+    rq = orbit(tq)
     p1q = pn(1, rq)
-    weighted = wq * params.schedule(tq) * rq**2 * pn(0, rq)
+    weighted = wq * orbit.params.schedule(tq) * rq**2 * pn(0, rq)
     return _ModeTerms(rq, weighted, p1q, float(np.sum(wq / rq**3)))
 
 
 def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
     """Int_0^T 1/R*^3 and each order's proliferation integral, memoized on
-    the orbit's period quadrature."""
+    the orbit, with one Gauss panel per stored step."""
     memo = orbit._mode_memo
     if "period" not in memo:
-        memo["period"] = _mode_terms(orbit.params, *orbit.quadrature())
+        memo["period"] = _mode_terms(orbit, orbit.times)
     terms = memo["period"]
     return terms.tension, terms.integrals(ns)
 
@@ -111,11 +127,19 @@ def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[floa
     Only the latest window is kept, so the memo stays bounded."""
     kept, terms = orbit._mode_memo.get("window", (None, None))
     if kept != tau:
-        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
-        terms = _mode_terms(orbit.params, tq, wq, orbit(tq))
+        terms = _mode_terms(orbit, np.linspace(0.0, tau, 257))
         orbit._mode_memo["window"] = (tau, terms)
     (prolif,) = terms.integrals([n])
     return terms.tension, prolif
+
+
+def _own_or_valid_mu(orbit: PeriodicSolution, mu: float | None) -> float:
+    """The orbit's own mu, or an override that must be finite and positive."""
+    if mu is None:
+        return orbit.params.mu
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    return mu
 
 
 def _curvature_part(params: ModelParams, n: int, tension: float) -> float:
@@ -137,6 +161,7 @@ def _exponent(
 
 def theta_n(orbit: PeriodicSolution, n: int) -> float:
     """Threshold theta_n: mode n decays iff mu < theta_n (n >= 2)."""
+    n = _check_order(n)
     if n < 2:
         raise ValueError("theta_n is defined for n >= 2 (theta_0 = theta_1 = infinity)")
     tension, (prolif,) = _period_integrals(orbit, [n])
@@ -152,11 +177,8 @@ def mode_exponent(
     the orbit's own parameter; passing another value evaluates the exponent
     formula on the frozen orbit.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"mode index must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    if mu is None:
-        mu = orbit.params.mu
+    n = _check_order(n)
+    mu = _own_or_valid_mu(orbit, mu)
     tension, (prolif,) = _period_integrals(orbit, [n])
     return _exponent(orbit, n, mu, tension, prolif)
 
@@ -207,10 +229,11 @@ def evolve_mode(
     fractional remainder is integrated by composite Gauss-Legendre on the
     dense orbit, with the latest remainder's node terms memoized too.
     """
+    n = _check_order(n)
     if abs(m) > n:
         raise ValueError(f"|m| <= n required, got (n, m) = ({n}, {m})")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     T = orbit.period
     k = int(math.floor(t / T))
     tau = t - k * T
@@ -241,13 +264,11 @@ def mode_decay_bound_check(
     orbit: PeriodicSolution,
     n_range=range(2, 33),
     mu: float | None = None,
-    slack: float = 0.05,
 ) -> DecayBoundReport:
     """Verify min_n Lambda_n/(n^3+1) clears the analytic floor
-    (mu/theta2)(theta2/mu - 1) * gamma / (4 R_max^3), up to slack."""
-    if mu is None:
-        mu = orbit.params.mu
-    ns = list(n_range)
+    (mu/theta2)(theta2/mu - 1) * gamma / (4 R_max^3), up to 5%."""
+    mu = _own_or_valid_mu(orbit, mu)
+    ns = [_check_order(n) for n in n_range]
     tension, prolif = _period_integrals(orbit, [2, *ns])
     theta2 = _threshold(orbit.params, 2, tension, prolif[0])
     if mu >= theta2:
@@ -267,7 +288,7 @@ def mode_decay_bound_check(
         * orbit.params.gamma
         / orbit.R_max**3
     )
-    ok = not nonpositive and delta_hat >= (1.0 - slack) * floor
+    ok = not nonpositive and delta_hat >= 0.95 * floor
     return DecayBoundReport(
         mu=mu,
         theta2=theta2,
@@ -296,6 +317,7 @@ def analyze(
     self_consistent: bool = False,
 ) -> StabilityReport:
     """Full per-mode stability report at the given parameters (n_max >= 2)."""
+    n_max = _check_order(n_max)
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max!r}")
     orbit = find_periodic(params)

@@ -116,9 +116,7 @@ def test_criterion_5_mode_structure(default_params, default_orbit):
 
 def test_criterion_6_cubic_decay_floor(default_orbit):
     theta2 = theta_n(default_orbit, 2)
-    report = mode_decay_bound_check(
-        default_orbit, n_range=range(2, 33), mu=0.5 * theta2, slack=0.05
-    )
+    report = mode_decay_bound_check(default_orbit, n_range=range(2, 33), mu=0.5 * theta2)
     assert not report.nonpositive_modes
     assert report.delta_hat >= 0.95 * report.candidate_floor
     print("PASS criterion 6: min Lambda_n/(n^3+1) clears the analytic floor")

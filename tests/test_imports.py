@@ -41,3 +41,26 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _calls_and_defs(path):
+    """(called names, defined function names) in one module."""
+    called, defined = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+    return called, defined
+
+
+def test_one_home_for_quadrature_and_schedule_statistics():
+    """The Gauss-Legendre rule is built only in stability.py, and a schedule's
+    period statistics are attributes, with no stats()/_stats() accessor."""
+    for path in sorted(SRC.glob("*.py")):
+        called, defined = _calls_and_defs(path)
+        if path.name != "stability.py":
+            assert "leggauss" not in called, path.name
+        assert not {"stats", "_stats"} & (called | defined), path.name
+    assert "leggauss" in _calls_and_defs(SRC / "stability.py")[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from tumordyn import (
     ConstantSchedule,
     FourierSchedule,
+    ModelParams,
     PiecewiseLinearSchedule,
     ScheduleError,
     SinusoidSchedule,
+    periodic,
     schedule_from_spec,
 )
 
@@ -18,7 +21,7 @@ class TestConstant:
         s = ConstantSchedule(period=2.0, value=1.5)
         assert s(0.3) == 1.5
         assert s(100.7) == 1.5
-        assert s.stats() == (1.5, 1.5, 1.5)
+        assert (s.mean, s.maximum, s.minimum) == (1.5, 1.5, 1.5)
 
     def test_vectorized(self):
         s = ConstantSchedule(period=1.0, value=2.0)
@@ -50,7 +53,7 @@ class TestSinusoid:
 
     def test_stats(self):
         s = SinusoidSchedule(period=1.0, mean_level=2.0, amplitude=-0.7)
-        assert s.stats() == (2.0, 2.7, 1.3)
+        assert (s.mean, s.maximum, s.minimum) == (2.0, 2.7, 1.3)
 
     def test_positivity(self):
         with pytest.raises(ScheduleError):
@@ -170,6 +173,52 @@ def test_float_path_bit_equal_to_array_path(schedule):
         np.array(scalar).view(np.int64), np.asarray(schedule(t), dtype=np.float64).view(np.int64)
     )
     assert schedule(3) == schedule(3.0)
+
+
+class TestStatistics:
+    """mean, maximum and minimum are set at construction, outside __init__ and ==."""
+
+    def test_replace_recomputes(self):
+        s = SinusoidSchedule(period=1.0, mean_level=2.0, amplitude=0.5)
+        t = replace(s, amplitude=-1.5)
+        assert (t.mean, t.maximum, t.minimum) == (2.0, 3.5, 0.5)
+        f = FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.4,))
+        g = replace(f, cos_coeffs=(0.2,))
+        assert g.maximum == pytest.approx(1.2, abs=1e-10)
+        assert g.minimum == pytest.approx(0.8, abs=1e-10)
+        with pytest.raises(ScheduleError):
+            replace(s, amplitude=2.5)
+
+    @pytest.mark.parametrize("name", ["mean", "maximum", "minimum"])
+    def test_not_constructor_arguments(self, name):
+        with pytest.raises(TypeError):
+            ConstantSchedule(period=1.0, value=1.0, **{name: 2.0})
+        with pytest.raises(ValueError):
+            replace(ConstantSchedule(period=1.0, value=1.0), **{name: 2.0})
+
+    @pytest.mark.parametrize("schedule", FORMS, ids=lambda s: type(s).__name__)
+    def test_not_in_eq_hash_or_repr(self, schedule):
+        twin = replace(schedule)
+        object.__setattr__(twin, "mean", schedule.mean + 1.0)
+        object.__setattr__(twin, "maximum", schedule.maximum + 1.0)
+        assert twin == schedule and hash(twin) == hash(schedule)
+        assert "mean=" not in repr(schedule) and "minimum" not in repr(schedule)
+
+    def test_params_stay_one_cache_key(self, monkeypatch):
+        solves = []
+        integrate = periodic.integrate
+
+        def counted(*args, **kwargs):
+            solves.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(periodic, "integrate", counted)
+        periodic._one_period.cache_clear()
+        a = ModelParams(1.0, 0.9, 1.0, SinusoidSchedule(period=1.0, amplitude=0.5))
+        b = ModelParams(1.0, 0.9, 1.0, SinusoidSchedule(period=1.0, amplitude=0.5))
+        assert a == b and hash(a) == hash(b)
+        assert periodic.poincare_map(a, 1.3) == periodic.poincare_map(b, 1.3)
+        assert solves == [1.3]
 
 
 NAN, INF = float("nan"), float("inf")

@@ -17,6 +17,7 @@ from tumordyn import (
     periodic,
     poincare_map,
 )
+from tumordyn.stability import gauss_nodes
 
 
 class TestBracket:
@@ -125,8 +126,14 @@ class TestFindPeriodic:
         assert default_orbit.R_min <= np.min(rr) + 1e-12
         assert default_orbit.R_max >= np.max(rr) - 1e-12
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, default_params, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            find_periodic(default_params, tol=tol)
+
     def test_quadrature_weights(self, default_orbit):
-        tq, wq, rq = default_orbit.quadrature()
+        tq, wq = gauss_nodes(default_orbit.times)
+        rq = default_orbit(tq)
         assert np.sum(wq) == pytest.approx(default_orbit.period, rel=1e-13)
         assert np.all(rq > 0.0)
         # quadrature of R itself matches a trapezoid check on the dense grid

@@ -245,10 +245,11 @@ class TestModeMemo:
         monkeypatch.setattr(stability, "_ratios", counted_ratios)
         monkeypatch.setattr(stability, "gauss_nodes", counted_nodes)
         orbit = analyze(default_params, n_max=64).orbit
-        period_nodes = orbit.quadrature()[0].size
-        assert sizes == [period_nodes]
-        sizes.clear()
         T = orbit.period
+        assert builds == [T]
+        assert sizes == [(orbit.times.size - 1) * 8]
+        builds.clear()
+        sizes.clear()
         for t in (T, 2.0 * T, 2.37 * T, 3.5 * T):
             for n in range(65):
                 for m in (0, -n):
@@ -272,9 +273,45 @@ class TestModeMemo:
     def test_replace_starts_empty(self, default_orbit):
         theta_n(default_orbit, 2)
         copy = replace(default_orbit)
-        assert copy._quad is None and copy._mode_memo == {}
+        assert copy._mode_memo == {}
         with pytest.raises(ValueError):
             replace(default_orbit, _mode_memo={})
+
+
+class TestInputValidation:
+    """Every entry point checks orders, times and mu overrides the same way."""
+
+    def test_whole_float_orders(self, default_params, default_orbit):
+        assert theta_n(default_orbit, 3.0) == theta_n(default_orbit, 3)
+        assert mode_exponent(default_orbit, 3.0) == mode_exponent(default_orbit, 3)
+        want = evolve_mode(default_orbit, 3, 0, 1.0, 0.5)
+        assert evolve_mode(default_orbit, 3.0, 0, 1.0, 0.5) == want
+        assert len(analyze(default_params, n_max=4.0).thresholds) == 3
+
+    @pytest.mark.parametrize("n", [2.5, -1, float("nan"), float("inf"), "3"])
+    def test_bad_orders(self, default_params, default_orbit, n):
+        calls = [
+            lambda: theta_n(default_orbit, n),
+            lambda: mode_exponent(default_orbit, n),
+            lambda: evolve_mode(default_orbit, n, 0, 1.0, 0.5),
+            lambda: mode_decay_bound_check(default_orbit, n_range=[2, n]),
+            lambda: analyze(default_params, n_max=n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="order n must be a nonnegative integer"):
+                call()
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan"), -0.1])
+    def test_bad_time(self, default_orbit, t):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+            evolve_mode(default_orbit, 2, 0, 1.0, t)
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_mu_override(self, default_orbit, mu):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            mode_exponent(default_orbit, 2, mu=mu)
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            mode_decay_bound_check(default_orbit, mu=mu)
 
 
 class TestClassifyStability:
@@ -294,5 +331,6 @@ class TestClassifyStability:
         assert classify_stability(mu, 2.0) is verdict
 
     def test_band_width(self):
-        assert classify_stability(1.05, 1.0, band=0.1) is Verdict.MARGINAL
-        assert classify_stability(1.05, 1.0, band=0.0) is Verdict.LINEARLY_UNSTABLE
+        # MARGINAL_BAND is a relative 1e-8 band around theta_2
+        assert classify_stability(1.0 + 0.5e-8, 1.0) is Verdict.MARGINAL
+        assert classify_stability(1.0 + 2e-8, 1.0) is Verdict.LINEARLY_UNSTABLE

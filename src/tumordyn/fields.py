@@ -18,7 +18,7 @@ import numpy as np
 from . import stability
 from .periodic import PeriodicSolution
 from .radial import rhs
-from .specfun import _check_order, p0, pn
+from .specfun import _check_mode, p0, pn
 
 
 def _sinh_ratio(r: float, R: float) -> float:
@@ -100,9 +100,7 @@ def _legendre_norm(n: int, m: int, x: np.ndarray) -> np.ndarray:
 
 def spherical_harmonic(n: int, m: int, theta, phi):
     """Orthonormal Y_nm(theta, phi); Y_{n,-m} = (-1)^m * conj(Y_{n,m})."""
-    n = _check_order(n)
-    if abs(m) > n:
-        raise ValueError(f"|m| <= n required, got (n, m) = ({n}, {m})")
+    n, m = _check_mode(n, m)
     theta_arr = np.asarray(theta, dtype=float)
     phi_arr = np.asarray(phi, dtype=float)
     if np.any(theta_arr < -1e-12) or np.any(theta_arr > math.pi + 1e-12):
@@ -131,6 +129,7 @@ def perturbed_surface(
     to time t with the mode dynamics before the harmonics are summed.  The
     real part of the harmonic sum is exported.
     """
+    modes = [(*_check_mode(n, m), rho0) for n, m, rho0 in modes]
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     th, ph = np.meshgrid(thetas, phis, indexing="ij")

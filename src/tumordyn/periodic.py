@@ -2,8 +2,11 @@
 
 The Poincare map F(R0) = R(T) is a monotone self-map of the bracket
 [x_bar, x2] built from P0^{-1}; its unique fixed point seeds the periodic
-orbit.  The bracket signs are guaranteed, so the fixed point is a root of
-F(R0) - R0 found by Brent's method (``roots.find_root``).
+orbit.  A constant, sinusoid or Fourier supply first tries Fourier
+collocation of u = log R (``_collocate``), kept if it lies in the bracket and
+one period from it meets the residual gate.  Otherwise, and for every
+piecewise-linear supply, the bracket signs are guaranteed, so the fixed
+point is a root of F(R0) - R0 found by Brent's method (``roots.find_root``).
 """
 
 from __future__ import annotations
@@ -16,14 +19,21 @@ import numpy as np
 
 from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
+from .nutrient import ConstantSchedule, FourierSchedule, SinusoidSchedule
 from .radial import ModelParams, Trajectory, integrate, rhs
 from .roots import find_root, refine_extremum
 # pn_derivative stays bound here because bench/tracing.py wraps this site
-from .specfun import p0_derivative, p0_inverse, pn_derivative  # noqa: F401
+from .specfun import P0_INVERSE_FTOL, p0, p0_derivative, p0_inverse, pn_derivative  # noqa: F401
 
 POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_SEGMENTS = 1024
+# collocation: node counts in turn, Newton steps per count, the step size
+# from which the Jacobian inverse is kept, and the resolved spectral tail
+_COLLOCATION_NODES = (32, 64, 128, 256)
+_NEWTON_MAX = 16
+_CHORD_FROM = 1e-6
+_TAIL_TOL = 1e-13
 
 
 def bracket(params: ModelParams) -> tuple[float, float]:
@@ -69,6 +79,9 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
 class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
+    ``method`` ("collocation" or "shooting"), ``map_evals``, the accepted
+    ``collocation_nodes`` (0 on shooting) and the attempt's ``newton_steps``
+    say how R*(0) was found.
     The mode-integral memo of ``stability`` is not a constructor argument,
     so ``dataclasses.replace`` starts it empty.
     """
@@ -83,6 +96,10 @@ class PeriodicSolution:
     residual: float
     bracket: tuple[float, float]
     _interp: DenseSolution = field(repr=False)
+    method: str = field(compare=False)
+    map_evals: int = field(compare=False)
+    collocation_nodes: int = field(compare=False)
+    newton_steps: int = field(compare=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
@@ -96,23 +113,34 @@ def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x_bar, x2 = bracket(params)
+    maps = 0
 
     def G(r0: float) -> float:
+        nonlocal maps
+        maps += 1
         return (poincare_map(params, r0) - r0) / min(1.0, r0)
 
-    g_lo = G(x_bar)
-    g_hi = G(x2)
-    slack = 1e-9
-    if g_lo < -slack * max(1.0, x_bar) or g_hi > slack * max(1.0, x2):
-        raise SolverError(
-            "Poincare map bracket sign condition violated beyond tolerance; "
-            "tighten integrator tolerances"
-        )
-    # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
-    r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
+    smooth = isinstance(params.schedule, (ConstantSchedule, SinusoidSchedule, FourierSchedule))
+    r, nodes, steps = _collocate(params, tol) if smooth else (None, 0, 0)
+    # r <= x2 as P0(r) >= P0(x2) up to p0_inverse's tolerance: under a
+    # constant supply the fixed point is x2
+    y2 = params.sigma_tilde / (3.0 * params.schedule.maximum)
+    method = "collocation"
+    if not (r is not None and x_bar <= r and p0(r) >= y2 * (1.0 - P0_INVERSE_FTOL) and abs(G(r)) <= tol):
+        method, nodes = "shooting", 0
+        g_lo = G(x_bar)
+        g_hi = G(x2)
+        slack = 1e-9
+        if g_lo < -slack * max(1.0, x_bar) or g_hi > slack * max(1.0, x2):
+            raise SolverError(
+                "Poincare map bracket sign condition violated beyond tolerance; "
+                "tighten integrator tolerances"
+            )
+        # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
+        r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
-    # Brent's root is almost always its last map evaluation, so this is a
-    # memo hit; t_eval never moves a step, so the samples are a fresh solve's
+    # the accepted root is almost always the last map evaluation, so this is
+    # a memo hit; t_eval never moves a step, so the samples are a fresh solve's
     t_eval = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
     traj = _one_period(params, r).resample(t_eval)
     residual = abs(float(traj.radii[-1]) - r)
@@ -131,7 +159,87 @@ def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
         residual=residual,
         bracket=(x_bar, x2),
         _interp=traj._interp,
+        method=method,
+        map_evals=maps,
+        collocation_nodes=nodes,
+        newton_steps=steps,
     )
+
+
+def _collocate(params: ModelParams, tol: float) -> tuple[float | None, int, int]:
+    """(R*(0) or None, M, Newton steps) by Fourier collocation of u = log R.
+
+    Newton solves D u = mu (Phi P0(e^u) - sigma_tilde/3) at M equispaced
+    nodes (D: Trefethen, Spectral Methods in MATLAB, ch. 3) until a chord
+    step stops halving; that step must be below tol * min(1, 1/R(0)).  M
+    doubles from 32 until u's coefficients from wave number 3M/8 on are
+    below _TAIL_TOL * max(1, largest), giving up at 256 or when their decay
+    per doubling falls short.  Never raises; uses no LAPACK, whose bits
+    depend on the BLAS thread count.
+    """
+    T, mu, s3, schedule = params.period, params.mu, params.sigma_tilde / 3.0, params.schedule
+    u, tail_prev, steps = None, None, 0
+    with np.errstate(all="ignore"):
+        for m in _COLLOCATION_NODES:
+            k = np.arange(m)
+            col = np.where(k > 0, (math.pi / T) * (-1.0) ** k / np.tan(k * (math.pi / m)), 0.0)
+            D = col[(k[:, None] - k) % m]
+            phi = schedule(k * (T / m))
+            if u is None:
+                u = np.full(m, math.log(p0_inverse(s3 / schedule.mean)))
+            else:
+                c = np.fft.rfft(u)
+                c[-1] *= 0.5  # the old Nyquist term splits between +-m/4
+                u = np.fft.irfft(c, m) * 2.0
+            prev = math.inf
+            for _ in range(_NEWTON_MAX):
+                R = np.exp(u)
+                if not np.all((R > 0.0) & (R < math.inf)):
+                    return None, m, steps
+                # D u without u's mean rounds at the size of u's variation
+                F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
+                if prev > _CHORD_FROM:
+                    jinv = _inverse(D - np.diag(mu * phi * p0_derivative(R) * R))
+                du = (jinv * F).sum(axis=1)
+                step = float(np.max(np.abs(du)))
+                steps += 1
+                if not math.isfinite(step) or (prev > _CHORD_FROM and step > 4.0 * prev):
+                    return None, m, steps  # non-finite, or Newton diverging
+                u = u - du
+                if prev <= _CHORD_FROM and not step < 0.5 * prev:
+                    break
+                prev = step
+            r = float(np.exp(u[0]))
+            if not (0.0 < r < math.inf and step <= tol * min(1.0, 1.0 / r)):
+                return None, m, steps
+            c = np.abs(np.fft.rfft(u))
+            tail = float(np.max(c[3 * m // 8:])) / max(m, float(np.max(c)))
+            if tail <= _TAIL_TOL:
+                return r, m, steps
+            # the decay since the last M, kept up to the cap, must reach _TAIL_TOL
+            if tail_prev and tail * (tail / tail_prev) ** math.log2(_COLLOCATION_NODES[-1] / m) > _TAIL_TOL:
+                return None, m, steps
+            tail_prev = tail
+    return None, m, steps
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """a^-1 by Gauss-Jordan exchange steps on a, each pivot the largest entry
+    of its column among rows not yet pivoted; non-finite if a is singular."""
+    free, rows = np.ones(len(a), dtype=bool), []
+    for k in range(len(a)):
+        p = int(np.argmax(np.where(free, np.abs(a[:, k]), -1.0)))
+        free[p] = False
+        rows.append(p)
+        row = a[p] / a[p, k]
+        row[k] = 1.0 / a[p, k]
+        col = a[:, k].copy()
+        col[p] = 0.0
+        a[:, k] = 0.0
+        a -= col[:, None] * row
+        a[p] = row
+    # row p of the table now gives x_k, and column k takes y_p
+    return a[rows][:, np.argsort(rows)]
 
 
 def _refine_extrema(params, traj):

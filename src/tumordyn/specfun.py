@@ -24,6 +24,7 @@ _CF_MAX_ITER = 100000  # cap on the recurrence's start depth
 _DEPTH_CONTRACTION = 64.0 * math.log(2.0)
 _SERIES_MAX_TERMS = 30
 _P0_DERIVATIVE_CLOSED_FROM = 20.0
+P0_INVERSE_FTOL = 1e-13  # |P_0(p0_inverse(y))/y - 1| stays within this
 
 
 def _as_positive_array(r):
@@ -44,6 +45,19 @@ def _check_order(n: int) -> int:
     if not ok:
         raise ValueError(f"order n must be a nonnegative integer, got {n!r}")
     return int(n)
+
+
+def _check_mode(n: int, m: int) -> tuple[int, int]:
+    """(n, m) as ints; ValueError unless n is a nonnegative whole number and
+    m a whole number with |m| <= n."""
+    n = _check_order(n)
+    try:
+        ok = m == int(m) and abs(m) <= n
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"m must be a whole number with |m| <= n, got (n, m) = ({n}, {m!r})")
+    return n, int(m)
 
 
 def _ratio_series(nu: float, r):
@@ -203,7 +217,7 @@ def p0_inverse(y: float) -> float:
     """Unique r > 0 with P_0(r) = y, for y in (0, 1/3).
 
     P_0 decreases from 1/3 and P_0(r) < 1/r, so [1e-8, 1/y] brackets the
-    root; Brent's method stops once |P_0(r)/y - 1| <= 1e-13.
+    root; Brent's method stops once |P_0(r)/y - 1| <= P0_INVERSE_FTOL.
     """
     if not (isinstance(y, (int, float)) and math.isfinite(y)):
         raise ValueError("target y must be a finite real number")
@@ -215,4 +229,4 @@ def p0_inverse(y: float) -> float:
         return p0(r) / y - 1.0
 
     # rounding can make P_0(1/y) equal y, never exceed it
-    return find_root(f, 1e-8, 1.0 / y, f(1e-8), min(f(1.0 / y), 0.0), ftol=1e-13)
+    return find_root(f, 1e-8, 1.0 / y, f(1e-8), min(f(1.0 / y), 0.0), ftol=P0_INVERSE_FTOL)

@@ -31,7 +31,7 @@ from .errors import NoPeriodicSolutionError, SolverError
 from .periodic import PeriodicSolution, find_periodic
 from .radial import ModelParams
 from .roots import find_root
-from .specfun import _check_order, _ratios, pn
+from .specfun import _check_mode, _check_order, _ratios, pn
 
 DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
@@ -229,9 +229,7 @@ def evolve_mode(
     fractional remainder is integrated by composite Gauss-Legendre on the
     dense orbit, with the latest remainder's node terms memoized too.
     """
-    n = _check_order(n)
-    if abs(m) > n:
-        raise ValueError(f"|m| <= n required, got (n, m) = ({n}, {m})")
+    n, m = _check_mode(n, m)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     T = orbit.period

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -103,6 +106,33 @@ class TestPeriodic:
     def test_no_periodic_solution_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, sigma_tilde=1.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
+
+
+class TestBlasThreads:
+    """The orbit solve uses no LAPACK, so no artifact depends on the BLAS
+    thread count."""
+
+    @pytest.mark.parametrize("params, schedule", [
+        ({"mu": 100.0, "sigma_tilde": 0.6}, BASE["schedule"]),
+        ({"mu": 3.16, "sigma_tilde": 0.3},
+         {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.25, 0.08], "sin": [0.15, -0.05]}),
+    ], ids=["sinusoid-mu100", "fourier"])
+    def test_periodic_bytes(self, tmp_path, params, schedule):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(BASE, params=dict(BASE["params"], **params), schedule=schedule)))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tumordyn.cli", "periodic", "--config", str(cfg), "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                     "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120,
+            )
+            runs.append((proc.returncode, proc.stderr, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        # at mu = 100 the rate fit fails (exit 1) after orbit.csv is written
+        assert "orbit.csv" in runs[0][2]
+        assert runs[0] == runs[1]
 
 
 class TestStability:

@@ -133,6 +133,11 @@ class TestSphericalHarmonics:
                 expected = 1.0 if a == b else 0.0
                 assert abs(inner - expected) <= 1e-10, f"<{a},{b}> = {inner}"
 
+    @pytest.mark.parametrize("m", [0.5, 3, float("nan"), "1"])
+    def test_bad_azimuthal_index(self, m):
+        with pytest.raises(ValueError, match="m must be a whole number with"):
+            spherical_harmonic(2, m, 0.5, 0.5)
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             spherical_harmonic(-1, 0, 0.5, 0.5)
@@ -164,6 +169,10 @@ class TestPerturbedSurface:
             spherical_harmonic(2, 0, thetas, np.zeros_like(thetas))
         )
         assert np.allclose(surf[:, 0], expected, rtol=1e-12)
+
+    def test_fractional_m_rejected(self, default_orbit):
+        with pytest.raises(ValueError, match="m must be a whole number with"):
+            perturbed_surface(default_orbit, [(2, 0, 1.0), (2, 0.5, 1.0)], 1e-3, 0.5, [1.0], [0.0])
 
     def test_large_perturbation_warns(self, default_orbit):
         with pytest.warns(UserWarning):

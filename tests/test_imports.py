@@ -64,3 +64,12 @@ def test_one_home_for_quadrature_and_schedule_statistics():
             assert "leggauss" not in called, path.name
         assert not {"stats", "_stats"} & (called | defined), path.name
     assert "leggauss" in _calls_and_defs(SRC / "stability.py")[0]
+
+
+def test_no_module_uses_numpy_linalg():
+    """LAPACK results depend on the BLAS thread count, and artifacts must not."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "linalg" not in attrs, path.name
+        assert not any("linalg" in name for name in imported_names(path)), path.name

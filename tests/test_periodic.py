@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -6,8 +8,14 @@ import numpy as np
 import pytest
 
 from tumordyn import (
+    ConstantSchedule,
+    FourierSchedule,
     InsufficientDataError,
+    ModelParams,
     NoPeriodicSolutionError,
+    PiecewiseLinearSchedule,
+    SinusoidSchedule,
+    SolverError,
     bracket,
     convergence_rate,
     find_periodic,
@@ -86,8 +94,10 @@ class TestFindPeriodic:
         assert len(calls) <= 8
 
     def test_orbit_read_from_last_map_solve(self, default_params, monkeypatch):
-        # Brent's root is its last map evaluation here, so storing the orbit
-        # integrates no extra period
+        # at R* ~ 3e3 collocation cannot meet the gate, so Brent runs; its
+        # root is its last map evaluation, so storing the orbit integrates no
+        # extra period
+        params = replace(default_params, mu=100.0, sigma_tilde=1e-3)
         maps, solves = [], []
         inner_map, inner_integrate = periodic.poincare_map, periodic.integrate
 
@@ -101,8 +111,9 @@ class TestFindPeriodic:
 
         monkeypatch.setattr(periodic, "poincare_map", counted_map)
         monkeypatch.setattr(periodic, "integrate", counted_integrate)
-        find_periodic(default_params)
-        assert len(solves) == len(maps) >= 3
+        orbit = find_periodic(params)
+        assert orbit.method == "shooting"
+        assert len(solves) == len(maps) == orbit.map_evals >= 3
 
     def test_stored_orbit_bit_equal_to_fresh_solve(self, default_params, default_orbit):
         T = default_params.period
@@ -154,6 +165,89 @@ class TestFindPeriodic:
         )
         changes = np.count_nonzero(np.diff(signs))
         assert changes == 1
+
+
+SINUSOID = SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5)
+FOURIER = FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.25, 0.08), sin_coeffs=(0.15, -0.05))
+PIECEWISE = PiecewiseLinearSchedule(
+    period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+)
+
+
+def _counted_maps(monkeypatch):
+    calls = []
+    inner = periodic.poincare_map
+
+    def counted(params, r0):
+        calls.append(r0)
+        return inner(params, r0)
+
+    monkeypatch.setattr(periodic, "poincare_map", counted)
+    return calls
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("schedule", [
+        ConstantSchedule(period=1.0, value=1.2), SINUSOID, FOURIER,
+    ], ids=["constant", "sinusoid", "fourier"])
+    @pytest.mark.parametrize("mu, sigma", [(1.0, 0.5), (100.0, 0.6)])
+    def test_smooth_forms_take_one_map(self, monkeypatch, schedule, mu, sigma):
+        calls = _counted_maps(monkeypatch)
+        orbit = find_periodic(ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule))
+        assert orbit.method == "collocation"
+        assert len(calls) == orbit.map_evals == 1
+        assert calls == [orbit.R_star0]
+        assert orbit.collocation_nodes in (32, 64, 128, 256)
+        assert orbit.newton_steps >= 1
+        assert orbit.residual <= 1e-11 * min(1.0, orbit.R_star0)
+
+    def test_piecewise_never_collocates(self, monkeypatch):
+        attempts = []
+        monkeypatch.setattr(periodic, "_collocate", lambda *args: attempts.append(args))
+        calls = _counted_maps(monkeypatch)
+        orbit = find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=PIECEWISE))
+        assert attempts == []
+        assert (orbit.method, orbit.collocation_nodes, orbit.newton_steps) == ("shooting", 0, 0)
+        assert len(calls) == orbit.map_evals
+
+    @pytest.mark.parametrize("schedule", [SINUSOID, FOURIER], ids=["sinusoid", "fourier"])
+    @pytest.mark.parametrize("mu", [0.1, 3.16, 100.0])
+    @pytest.mark.parametrize("sigma", [0.3, 0.6, 0.97])
+    def test_agrees_with_forced_shooting(self, monkeypatch, schedule, mu, sigma):
+        params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
+        spectral = find_periodic(params)
+        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, 0, 0))
+        shot = find_periodic(params)
+        assert (spectral.method, shot.method) == ("collocation", "shooting")
+        assert spectral.R_star0 == pytest.approx(shot.R_star0, rel=1e-10, abs=0.0)
+
+    def test_failed_attempt_keeps_shooting_error(self):
+        params = ModelParams(mu=1e3, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID)
+        with pytest.raises(SolverError) as info:
+            find_periodic(params)
+        assert str(info.value) == (
+            "Poincare map bracket sign condition violated beyond tolerance; "
+            "tighten integrator tolerances"
+        )
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(mu=1e3, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID),
+        ModelParams(mu=1e4, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID),
+        ModelParams(mu=1.0, sigma_tilde=1e-9, gamma=1.0, schedule=SINUSOID),
+        ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=PIECEWISE),
+    ], ids=["mu=1e3", "mu=1e4", "sigma=1e-9", "piecewise"])
+    def test_no_warning_on_probe_regimes(self, params):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.suppress(SolverError):
+                find_periodic(params)
+        assert [str(w.message) for w in caught] == []
+
+    def test_observability_fields_stay_out_of_equality(self):
+        names = {"method", "map_evals", "collocation_nodes", "newton_steps"}
+        flags = {f.name: f.compare for f in dataclasses.fields(periodic.PeriodicSolution)}
+        assert names <= set(flags)
+        assert not any(flags[name] for name in names)
 
 
 class TestConvergenceRate:

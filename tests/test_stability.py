@@ -301,6 +301,14 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="order n must be a nonnegative integer"):
                 call()
 
+    @pytest.mark.parametrize("m", [0.5, -1.5, 3, float("nan"), float("inf"), "1", None])
+    def test_bad_azimuthal_index(self, default_orbit, m):
+        with pytest.raises(ValueError, match="m must be a whole number with"):
+            evolve_mode(default_orbit, 2, m, 1.0, 0.5)
+
+    def test_whole_float_azimuthal_index(self, default_orbit):
+        assert evolve_mode(default_orbit, 2, -2.0, 1.0, 0.5) == evolve_mode(default_orbit, 2, -2, 1.0, 0.5)
+
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), -0.1])
     def test_bad_time(self, default_orbit, t):
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):

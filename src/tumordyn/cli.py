@@ -38,9 +38,9 @@ SECTION_KEYS = {
 # Work limits, with costs measured for a sinusoid supply on a 2-core x86-64
 # machine.  analyze evaluates every order up to n_max (~0.4 s at the limit).
 # simulate and the periodic rate fit integrate every period they are given
-# (~1 ms per period at mu = 1 and ~10 ms at mu = 100 at simulate's
-# tolerances, twice that at the rate fit's), and simulate writes one CSV row
-# of ~30 bytes per sample (~3 us each).  So every count is bounded.
+# (~0.7 ms per period at mu = 1 and ~4 ms at mu = 100 at simulate's
+# tolerances, ~2.5x that at the rate fit's), and simulate writes one CSV row
+# of ~30 bytes per sample (~2 us each).  So every count is bounded.
 _N_MAX_LIMIT = 10_000
 _PERIODS_LIMIT = 10_000
 _ROWS_LIMIT = 1_000_000
@@ -108,8 +108,16 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """None is an empty cell, a str is written as is, any other cell goes
+    through _fmt; a pair of finite floats takes _fmt's format in one f-string."""
+    isfinite = math.isfinite
     lines = [",".join(header)]
     for row in rows:
+        if len(row) == 2:
+            a, b = row
+            if type(a) is float and type(b) is float and isfinite(a) and isfinite(b):
+                lines.append(f"{a:.17g},{b:.17g}")
+                continue
         lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row))
     _write(path, "\n".join(lines) + "\n")
 

@@ -6,14 +6,21 @@ Ordinary Differential Equations I*, sections II.4-II.6.  The controller is
 scipy's: its initial step selection, safety factor 0.9, step factors in
 [0.2, 10], a minimum step of 10 ulp(t) and no growth right after a rejection.
 
-The state is a Python float, but every stage sum, the solution and error
-rows and the dense coefficients go through ``np.dot`` on a (7, 1) stage array
-with the call shapes of scipy's ``rk_step``: numpy's dot may accumulate with
-fused multiply-adds, and plain float sums would round differently.  So the
-step sequence, the evaluation count and every value are those of
-``solve_ivp(method="RK45")``.  The dense output is read in bulk but keeps one
-``np.dot`` per step group, with that group's shape, for the same reason
-(see ``DenseSolution``).
+The state is a Python float, but the five stage sums and the solution and
+error rows are seven ``np.dot`` products on a (7, 1) stage array, with the
+call shapes of scipy's ``rk_step``: numpy's dot may accumulate with fused
+multiply-adds, and plain float sums would round differently.  So the step
+sequence, the evaluation count and every value are those of
+``solve_ivp(method="RK45")``.  The loop binds each product once per solve,
+as the ``dot`` method of a fixed view of the stage array (the same product
+without ``np.dot``'s dispatch), and writes out the five stages.
+
+Each accepted step forms its dense coefficients K^T P with scipy's (1, 7) by
+(7, 4) product and writes them as one row of a buffer that grows by
+doubling.  They are never formed as one product over many steps, and the
+dense output is read in bulk with one ``np.dot`` per step group, with that
+group's shape: BLAS picks its kernel by shape, and a batched product would
+round differently (see ``DenseSolution``).
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ class DenseSolution:
     def __init__(self, ts, ys, qs):
         self.ts = np.array(ts)
         self.ys = np.array(ys)
-        self._qs = qs  # the (1, 4) dense coefficients of each step
+        self._qs = qs  # row i: the dense coefficients of step i
 
     def __call__(self, t):
         """R at a time (a float) or at an array of times (an array of that shape)."""
@@ -81,8 +88,9 @@ class DenseSolution:
         if t.ndim == 0:
             i = min(max(int(np.searchsorted(self.ts, t, side="left")) - 1, 0), last)
             h = self.ts[i + 1] - self.ts[i]
-            p = np.cumprod(np.tile((t - self.ts[i]) / h, 4))
-            return float(h * np.dot(self._qs[i], p)[0] + self.ys[i])
+            x = float((t - self.ts[i]) / h)
+            p = np.array([x, x * x, x * x * x, x * x * x * x])  # cumprod's products
+            return float(h * np.dot(self._qs[i : i + 1], p)[0] + self.ys[i])
         n = t.size
         if n == 0:
             return np.empty(t.shape)
@@ -105,7 +113,7 @@ class DenseSolution:
         d = np.empty((1, n))
         qs, dot = self._qs, np.dot
         for i, a, m in zip(seg[starts].tolist(), starts.tolist(), sizes.tolist()):
-            dot(qs[i], powers[4 * a : 4 * (a + m)].reshape(4, m), out=d[:, a : a + m])
+            dot(qs[i : i + 1], powers[4 * a : 4 * (a + m)].reshape(4, m), out=d[:, a : a + m])
         out = np.empty(n)
         out[order] = h * d[0] + self.ys[seg]
         return out.reshape(t.shape)
@@ -145,16 +153,20 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
     if not atol > 0.0:
         raise ValueError(f"atol must be positive, got {atol}")
     rtol = max(rtol, _MIN_RTOL)
-    dot = np.dot
     K = np.empty((7, 1))
-    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6)]
-    K_sol, K_all = K[:-1].T, K.T
+    k = K[:, 0]
+    # ndarray.dot is np.dot's product without its dispatch
+    dot1, dot2, dot3, dot4, dot5 = (K[:s].T.dot for s in range(1, 6))
+    A1, A2, A3, A4, A5 = (_A[s, :s] for s in range(1, 6))
+    _, C1, C2, C3, C4, _ = _C
+    dot_sol, dot_all = K[:-1].T.dot, K.T.dot
 
     t, y = t0, y0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t1, rtol, atol)
     nfev = 2
-    ts, ys, qs = [t0], [y0], []
+    ts, ys = [t0], [y0]
+    qs = np.empty((64, 4))
     while t < t1:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -168,16 +180,18 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
 
-            K[0, 0] = f
-            for s, KT, a, c in stages:
-                K[s, 0] = fun(t + c * h, y + dot(KT, a).item() * h)
-            y_new = y + h * dot(K_sol, _B).item()
-            f_new = fun(t + h, y_new)
-            K[6, 0] = f_new
+            k[0] = f
+            k[1] = fun(t + C1 * h, y + dot1(A1).item() * h)
+            k[2] = fun(t + C2 * h, y + dot2(A2).item() * h)
+            k[3] = fun(t + C3 * h, y + dot3(A3).item() * h)
+            k[4] = fun(t + C4 * h, y + dot4(A4).item() * h)
+            k[5] = fun(t + h, y + dot5(A5).item() * h)
+            y_new = y + h * dot_sol(_B).item()
+            f_new = k[6] = fun(t + h, y_new)
             nfev += 6
 
             scale = atol + max(abs(y), abs(y_new)) * rtol
-            error_norm = _norm(dot(K_all, _E).item() * h / scale)
+            error_norm = _norm(dot_all(_E).item() * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -190,8 +204,11 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        qs.append(K_all.dot(_P))
+        n = len(ts) - 1
+        if n == len(qs):
+            qs = np.concatenate([qs, np.empty_like(qs)])
+        dot_all(_P, out=qs[n : n + 1])
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-    return DenseSolution(ts, ys, qs), nfev
+    return DenseSolution(ts, ys, qs[: len(ts) - 1]), nfev

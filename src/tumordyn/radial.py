@@ -18,7 +18,8 @@ import numpy as np
 from . import dopri
 from .errors import SolverError
 from .nutrient import NutrientSchedule
-from .specfun import p0
+# p0 stays bound here because bench/tracing.py wraps this site
+from .specfun import p0, p0_float  # noqa: F401
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
@@ -53,13 +54,25 @@ class Classification(enum.Enum):
     PERSISTENCE = "Persistence"
 
 
+def _right_side(params: ModelParams):
+    """The right side of float (t, R), bound once per solve to the float
+    paths of Phi and P0: 0.0 at R <= 0, p0's ValueError at R = nan, inf."""
+    mu, s3, T = params.mu, params.sigma_tilde / 3.0, params.period
+    phi, P0 = params.schedule._value, p0_float
+
+    def f(t, R):
+        if R <= 0.0:
+            return 0.0
+        return mu * R * (phi(t % T) * P0(R) - s3)
+
+    return f
+
+
 def rhs(params: ModelParams, t: float, R: float) -> float:
     """Right side of the radius ODE; exactly 0 at R = 0."""
     if R < 0.0:
         raise ValueError(f"radius must be nonnegative, got {R}")
-    if R == 0.0:
-        return 0.0
-    return params.mu * R * (params.schedule(t) * p0(R) - params.sigma_tilde / 3.0)
+    return _right_side(params)(float(t), float(R))
 
 
 @dataclass
@@ -124,9 +137,7 @@ def integrate(
         if np.any(np.diff(t_eval) <= 0.0):
             raise ValueError("t_eval must be strictly increasing")
 
-    interp, nfev = dopri.solve(
-        lambda t, R: rhs(params, t, max(R, 0.0)), float(t0), float(R0), float(t1), rtol, atol
-    )
+    interp, nfev = dopri.solve(_right_side(params), float(t0), float(R0), float(t1), rtol, atol)
     traj = Trajectory(
         times=interp.ts,
         radii=interp.ys,

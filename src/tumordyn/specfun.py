@@ -146,6 +146,14 @@ def _p0_closed(r, tanh_r):
     return 1.0 / (tanh_r * r) - 1.0 / (r * r)
 
 
+def p0_float(r: float) -> float:
+    """``p0``'s float branch, float arithmetic only (the radius ODE binds it);
+    ValueError unless r is finite and positive."""
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError("argument r must be finite and positive")
+    return _ratio_series(0.5, r) / r if r < 0.3 else _p0_closed(r, float(np.tanh(r)))
+
+
 def p0(r):
     """P_0(r) = coth(r)/r - 1/r^2, with a series branch below r = 0.3.
 
@@ -153,15 +161,12 @@ def p0(r):
     small arguments reuse the series ratio; the crossover keeps the relative
     error below ~1e-14 on both sides.
 
-    A float (the radius ODE's case) builds no arrays and returns the same
-    bits as the array path, so no result depends on which path ran;
+    A float goes to ``p0_float``, which builds no arrays and returns the
+    same bits as the array path, so no result depends on which path ran;
     anything else goes through arrays.
     """
     if isinstance(r, float):
-        r = float(r)
-        if not (math.isfinite(r) and r > 0.0):
-            raise ValueError("argument r must be finite and positive")
-        return _ratio_series(0.5, r) / r if r < 0.3 else _p0_closed(r, float(np.tanh(r)))
+        return p0_float(float(r))
     arr = _as_positive_array(r)
     a = np.atleast_1d(arr)
     out = np.empty_like(a)

@@ -486,3 +486,25 @@ def test_fuzz_cli_boundary(command, config):
             assert "Traceback" not in err
         if code == 2:
             assert not out.exists()
+
+
+class TestCsvWriter:
+    def test_float_pairs_match_cell_by_cell(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.uniform(-1e3, 1e3, 50), rng.lognormal(0.0, 30.0, 50),
+                                 [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]])
+        rows = list(zip(values.tolist(), values[::-1].tolist()))
+        mixed = [(True, 3), (np.int64(2), None), ("x", 1.5), (np.float64(0.25), 2.0), (1, 2, 3.5)]
+        cli._write_csv(tmp_path / "a.csv", ["t", "R"], rows + mixed)
+        want = ["t,R"] + [
+            ",".join("" if v is None else (v if isinstance(v, str) else cli._fmt(v)) for v in row)
+            for row in rows + mixed
+        ]
+        assert (tmp_path / "a.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+        assert want[-5:] == ["true,3", "2,", "x,1.5", "0.25,2", "1,2,3.5"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, tmp_path, bad):
+        for row in ((0.5, bad), (bad, 0.5), (bad,), (0.5, 1.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                cli._write_csv(tmp_path / "b.csv", ["t", "R"], [(0.0, 1.0), row])

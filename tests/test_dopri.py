@@ -43,6 +43,11 @@ CASES = [
     ("fourier", 1.0, 0.3, 5.0, 2, 1e-6, 1e-8),
     ("piecewise", 10.0, 0.8, 0.05, 3, 1e-9, 1e-11),
     ("sinusoid", 0.1, 0.001, 3.0, 2, 1e-12, 1e-14),
+    # decays through R = 0.3, where P0 switches from its closed form to its series
+    ("sinusoid", 10.0, 1.2, 0.5, 3, 1e-10, 1e-12),
+    # the period from the bracket's upper end x2 of the mu = 1e3, sigma_tilde = 0.9
+    # sinusoid at the Poincare tolerances: R collapses to ~1e-16 within it
+    ("sinusoid", 1e3, 0.9, 3.629409935955997, 1, 1e-12, 1e-14),
 ]
 
 

@@ -73,3 +73,52 @@ def test_no_module_uses_numpy_linalg():
         attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "linalg" not in attrs, path.name
         assert not any("linalg" in name for name in imported_names(path)), path.name
+
+
+def _names(path):
+    """Every identifier and attribute name a module references."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_one_home_for_p0_and_phi_formulas():
+    """The solver kernel binds P0's and Phi's float paths from specfun and
+    nutrient; it holds no second copy of either, and nutrient writes each
+    schedule's Phi once, in its _value (sin and cos appear nowhere else but
+    in the Fourier slope)."""
+    for name in ("radial.py", "dopri.py"):
+        assert not {"tanh", "sin", "cos"} & _names(SRC / name), name
+    for path in sorted(SRC.glob("*.py")):
+        assert ("tanh" in _names(path)) == (path.name == "specfun.py"), path.name
+    tree = ast.parse((SRC / "nutrient.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name not in ("_value", "_slope"):
+            body = ast.Module(body=node.body, type_ignores=[])
+            nested = {"sin", "cos"} & {
+                n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)
+            }
+            assert not nested, node.name
+
+
+def test_dopri_solve_has_one_caller():
+    """radial.integrate is the only caller of dopri.solve."""
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dopri":
+                assert "solve" not in {alias.name for alias in node.names}, path.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "solve"
+                        and getattr(call.func.value, "id", None) == "dopri"
+                    ):
+                        callers.append((path.name, node.name))
+    assert callers == [("radial.py", "integrate")]

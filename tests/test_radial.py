@@ -7,15 +7,33 @@ import pytest
 from tumordyn import (
     Classification,
     ConstantSchedule,
+    FourierSchedule,
     ModelParams,
+    PiecewiseLinearSchedule,
     SinusoidSchedule,
     classify_radial,
+    dopri,
     extinction_diagnostics,
     integrate,
     p0,
     radial,
     rhs,
 )
+
+FORMS = [
+    ConstantSchedule(period=1.5, value=1.3),
+    SinusoidSchedule(period=2.0, mean_level=1.0, amplitude=0.5),
+    FourierSchedule(
+        period=0.7, mean_level=1.0, cos_coeffs=(0.2, -0.1), sin_coeffs=(0.15, 0.05, 0.02)
+    ),
+    PiecewiseLinearSchedule(
+        period=1.0, knot_times=(0.0, 0.25, 0.6, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+    ),
+]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
 
 
 class TestModelParams:
@@ -54,19 +72,56 @@ class TestRhs:
         with pytest.raises(ValueError):
             rhs(default_params, 0.0, -0.5)
 
+    @pytest.mark.parametrize("schedule", FORMS, ids=lambda s: type(s).__name__)
+    def test_solver_right_side_bitwise(self, schedule):
+        """The float-only right side integrate hands the solver gives the
+        formula's bits, read through the array paths of Phi and P0, and
+        rhs's bits; at R <= 0 it is 0.0."""
+        params = ModelParams(mu=1.7, sigma_tilde=0.45, gamma=1.0, schedule=schedule)
+        f = radial._right_side(params)
+        T = schedule.period
+        knots = np.array([k * T + x for k in range(3) for x in getattr(schedule, "knot_times", (0.0,))])
+        times = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        times = np.concatenate([times[times >= 0.0], np.linspace(0.0, 3.0 * T, 37)]).tolist()
+        radii = [1e-300, math.nextafter(0.3, 0.0), 0.3, 20.0, 3e3, 1e300]
+        with np.errstate(over="ignore"):  # r * r overflows to inf at r = 1e300
+            p0_arr = {R: float(p0(np.array([R]))[0]) for R in radii}
+        for t in times:
+            phi = float(schedule(np.array([t]))[0])
+            for R in radii:
+                want = params.mu * R * (phi * p0_arr[R] - params.sigma_tilde / 3.0)
+                got = f(t, R)
+                assert type(got) is float
+                assert _bits(got) == _bits(want) == _bits(rhs(params, t, R)), (t, R)
+            for R in (-0.0, 0.0, -1e-300, -math.inf):
+                assert _bits(f(t, R)) == _bits(0.0)
+            assert _bits(rhs(params, t, -0.0)) == _bits(rhs(params, t, 0.0)) == _bits(0.0)
+        for R in (math.nan, math.inf):
+            for right_side in (f, lambda t, R: rhs(params, t, R)):
+                with pytest.raises(ValueError, match="argument r must be finite and positive"):
+                    right_side(0.1, R)
+
 
 class TestIntegrate:
-    def test_right_side_is_module_rhs(self, default_params, monkeypatch):
+    def test_solver_calls_match_rhs_bitwise(self, default_params, monkeypatch):
+        """The solver's right side runs nfev times on float radii and returns
+        rhs's bits at every call."""
         calls = []
+        solve = dopri.solve
 
-        def counting_rhs(params, t, R):
-            calls.append(R)
-            return rhs(params, t, R)
+        def recording_solve(fun, *args):
+            def recorded(t, R):
+                dR = fun(t, R)
+                calls.append((t, R, dR))
+                return dR
 
-        monkeypatch.setattr(radial, "rhs", counting_rhs)
+            return solve(recorded, *args)
+
+        monkeypatch.setattr(dopri, "solve", recording_solve)
         traj = integrate(default_params, 1.0, 0.0, 1.0)
         assert len(calls) == traj.nfev
-        assert all(type(R) is float for R in calls)
+        assert all(type(t) is float and type(R) is float for t, R, _ in calls)
+        assert all(_bits(dR) == _bits(rhs(default_params, t, R)) for t, R, dR in calls)
 
     def test_dense_output_matches_nodes(self, default_params):
         traj = integrate(default_params, 1.0, 0.0, 3.0)

@@ -50,6 +50,10 @@ class ConfigError(ValueError):
     pass
 
 
+class NonFiniteError(TumordynError, ValueError):
+    """A result to be written is NaN or infinite: a failure, not bad input."""
+
+
 # ----------------------------------------------------------------------
 # deterministic serialization
 
@@ -63,7 +67,7 @@ def _fmt(x) -> str:
         return str(int(x))
     v = float(x)
     if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite number {v}")
+        raise NonFiniteError(f"cannot serialize non-finite number {v}")
     return f"{v:.17g}"
 
 
@@ -216,7 +220,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
     params = config.params
     T = params.period
     t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
-    traj = radial.integrate(params, R0, 0.0, n_periods * T, t_eval=t_eval)
+    traj = radial.integrate(params, R0, 0.0, n_periods * T).resample(t_eval)
     _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
 
     verdict = radial.classify_radial(params)
@@ -240,17 +244,18 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
 
 def cmd_periodic(config: RunConfig, out: Path) -> None:
     opts = config.options.get("periodic", {})
-    tol = _positive(opts, "periodic", "tol", 1e-11)
+    tol = _positive(opts, "periodic", "tol", periodic_mod.DEFAULT_TOL)
     rate_factor = _positive(opts, "periodic", "rate_R0_factor", 2.0)
-    # convergence_rate fits at least 4 periods after its 10-period burn-in
-    rate_periods = _count(opts, "periodic", "rate_n_periods", 30, 13, _PERIODS_LIMIT)
+    least = periodic_mod.RATE_BURN_IN + periodic_mod.RATE_FIT_MARKS - 1
+    rate_periods = _count(opts, "periodic", "rate_n_periods", 30, least, _PERIODS_LIMIT)
     params = config.params
     orbit = periodic_mod.find_periodic(params, tol=tol)
     _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times.tolist(), orbit.radii.tolist()))
 
-    fit = periodic_mod.convergence_rate(
-        params, rate_factor * orbit.R_star0, rate_periods, orbit=orbit
-    )
+    R0 = rate_factor * orbit.R_star0
+    if not math.isfinite(R0):
+        raise TumordynError("the rate fit's start rate_R0_factor * R*(0) left the floating-point range")
+    fit = periodic_mod.convergence_rate(params, R0, rate_periods, orbit=orbit)
     _write_json(
         out / "summary.json",
         {

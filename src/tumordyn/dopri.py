@@ -144,14 +144,12 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
 
 
 def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
-    """Integrate y' = fun(t, y) from t0 to t1 > t0 with a float state.
+    """Integrate y' = fun(t, y) from t0 to t1 > t0 with a float state, atol > 0.
 
     Returns (dense solution, number of fun calls).  An rtol below 100 eps
     is raised to it, as scipy does.  SolverError if the step size falls
     below 10 ulp(t).
     """
-    if not atol > 0.0:
-        raise ValueError(f"atol must be positive, got {atol}")
     rtol = max(rtol, _MIN_RTOL)
     K = np.empty((7, 1))
     k = K[:, 0]

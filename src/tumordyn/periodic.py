@@ -22,12 +22,14 @@ from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
 from .nutrient import ConstantSchedule, FourierSchedule, SinusoidSchedule
 from .radial import ModelParams, Trajectory, integrate, rhs
 from .roots import find_root, refine_extremum
-# pn_derivative stays bound here because bench/tracing.py wraps this site
-from .specfun import P0_INVERSE_FTOL, p0, p0_derivative, p0_inverse, pn_derivative  # noqa: F401
+from .specfun import P0_INVERSE_FTOL, p0, p0_inverse, pn_derivative
 
 POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
+DEFAULT_TOL = 1e-11
 DEFAULT_SEGMENTS = 1024
+RATE_BURN_IN = 10  # periods the rate fit leaves out by default
+RATE_FIT_MARKS = 4  # period marks it fits at the least
 # collocation: node counts in turn, Newton steps per count, the step size
 # from which the Jacobian inverse is kept, and the resolved spectral tail
 _COLLOCATION_NODES = (32, 64, 128, 256)
@@ -108,7 +110,7 @@ class PeriodicSolution:
         return self._interp(t % self.period)
 
 
-def find_periodic(params: ModelParams, tol: float = 1e-11) -> PeriodicSolution:
+def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolution:
     """Locate the fixed point of the Poincare map and store one dense period."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -199,7 +201,7 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, int, int]
                 # D u without u's mean rounds at the size of u's variation
                 F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
                 if prev > _CHORD_FROM:
-                    jinv = _inverse(D - np.diag(mu * phi * p0_derivative(R) * R))
+                    jinv = _inverse(D - np.diag(mu * phi * pn_derivative(0, R) * R))
                 du = (jinv * F).sum(axis=1)
                 step = float(np.max(np.abs(du)))
                 steps += 1
@@ -274,7 +276,7 @@ def convergence_rate(
     R0: float,
     n_periods: int,
     orbit: PeriodicSolution | None = None,
-    burn_in: int = 10,
+    burn_in: int = RATE_BURN_IN,
 ) -> RateFit:
     """Fit log|R(kT) - R*(kT)| linearly in time and compare with the
     analytic contraction bound mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
@@ -291,22 +293,22 @@ def convergence_rate(
         raise InsufficientDataError(
             "initial radius is on the periodic orbit; no rate to fit"
         )
-    if n_periods < 4:
-        raise InsufficientDataError("need at least 4 periods to fit a rate")
+    if n_periods < burn_in + RATE_FIT_MARKS - 1:
+        raise InsufficientDataError(
+            f"need at least {burn_in + RATE_FIT_MARKS - 1} periods to fit a rate "
+            f"after a {burn_in}-period burn-in"
+        )
 
     T = params.period
     t_marks = np.arange(n_periods + 1) * T
-    traj = integrate(
-        params, R0, 0.0, n_periods * T,
-        rtol=POINCARE_RTOL, atol=POINCARE_ATOL, t_eval=t_marks,
-    )
-    diffs = traj.radii - R_star0
+    traj = integrate(params, R0, 0.0, n_periods * T, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
+    diffs = traj.resample(t_marks).radii - R_star0
     one_sided = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
     usable = np.abs(diffs) > 1e-12 * R_star0
     usable[: burn_in] = False
     ks = np.nonzero(usable)[0]
-    if len(ks) < 4:
+    if len(ks) < RATE_FIT_MARKS:
         raise InsufficientDataError(
             "difference from the orbit hit the floating-point floor too early"
         )
@@ -324,7 +326,7 @@ def convergence_rate(
     hi = orbit.R_max * max(1.0, ratio)
     # -P0' rises from 0 at r = 0 to its one maximum near r = 1.93 and falls
     # back to 0 as r -> inf, so its minimum over [lo, hi] is at an end
-    m_min = float(np.min(-p0_derivative(np.array([lo, hi]))))
+    m_min = float(np.min(-pn_derivative(0, np.array([lo, hi]))))
     delta_bound = (
         params.mu * params.schedule.minimum * m_min * orbit.R_min * min(1.0, ratio)
     )

@@ -79,8 +79,8 @@ def rhs(params: ModelParams, t: float, R: float) -> float:
 class Trajectory:
     """Dense ODE solution R(t) on [t0, t1] with its interpolant.
 
-    ``times``/``radii`` are the accepted step ends, or the requested
-    ``t_eval`` points; ``steps`` counts accepted steps either way.
+    ``times``/``radii`` are the accepted step ends, or after ``resample``
+    the requested times; ``steps`` counts accepted steps either way.
     """
 
     times: np.ndarray
@@ -99,9 +99,13 @@ class Trajectory:
         return self._interp(np.clip(t, self.t0, self.t1))
 
     def resample(self, t_eval) -> Trajectory:
-        """This solve read at the 1-D times t_eval, as ``integrate(...,
-        t_eval=t_eval)`` would return it: ``t_eval`` never moves a step."""
-        t_eval = np.asarray(t_eval, dtype=float)
+        """This solve read at the strictly increasing 1-D times t_eval within
+        [t0, t1].  Where a solve is read never moves a step, so these are
+        the values of a solve that stops at each of those times."""
+        t_eval = np.array(t_eval, dtype=float)
+        inside = t_eval.ndim == 1 and np.all((t_eval >= self.t0) & (t_eval <= self.t1))
+        if not (inside and np.all(np.diff(t_eval) > 0.0)):
+            raise ValueError("t_eval must be a strictly increasing 1-D array of times within [t0, t1]")
         return replace(self, times=t_eval, radii=_require_positive(self(t_eval)))
 
 
@@ -118,39 +122,34 @@ def integrate(
     t1: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    t_eval=None,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) solve with dense output (``dopri``).
+    """Adaptive Dormand-Prince 5(4) solve with dense output (``dopri``),
+    read on a grid with ``Trajectory.resample``.
 
     Positivity is verified on the accepted nodes; the right side treats
     non-positive trial radii as stationary so the integrator cannot step
-    through zero.
+    through zero.  A radius that overflows is a SolverError.
     """
     if not (R0 > 0.0 and math.isfinite(R0)):
         raise ValueError(f"initial radius must be positive and finite, got {R0}")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    if t_eval is not None:
-        t_eval = np.array(t_eval, dtype=float)
-        if t_eval.ndim != 1 or np.any(t_eval < t0) or np.any(t_eval > t1):
-            raise ValueError("t_eval must be a 1-D array of times within [t0, t1]")
-        if np.any(np.diff(t_eval) <= 0.0):
-            raise ValueError("t_eval must be strictly increasing")
-
-    interp, nfev = dopri.solve(_right_side(params), float(t0), float(R0), float(t1), rtol, atol)
-    traj = Trajectory(
+    if not atol > 0.0:
+        raise ValueError(f"atol must be positive, got {atol}")
+    try:
+        with np.errstate(over="ignore"):  # an overflow ends the solve below
+            interp, nfev = dopri.solve(_right_side(params), float(t0), float(R0), float(t1), rtol, atol)
+    except ValueError as exc:  # P0 of an infinite radius
+        raise SolverError("integration failed: the radius left the floating-point range") from exc
+    return Trajectory(
         times=interp.ts,
-        radii=interp.ys,
+        radii=_require_positive(interp.ys),
         t0=t0,
         t1=t1,
         steps=len(interp.ts) - 1,
         nfev=nfev,
         _interp=interp,
     )
-    if t_eval is not None:
-        return traj.resample(t_eval)
-    _require_positive(traj.radii)
-    return traj
 
 
 def classify_radial(params: ModelParams) -> Classification:

@@ -188,33 +188,21 @@ def pn_derivative(n: int, r):
     turns this into P_n'(r) = r P_n (P_{n+1} - P_n), with no cancellation
     near the origin.  At large r both ratios tend to 1/r and their difference
     cancels, so the relative error grows with r: against mpmath it is ~1e-14
-    at r = 100 and ~6e-12 at r = 1e4, and reaches 4.0e-10 at n = 0 on
-    [20, 1e5].  For n = 0 use ``p0_derivative``, closed form from r = 20.
+    at r = 100 and ~6e-12 at r = 1e4.  For n = 0 the closed form
+    2/r^3 - coth(r)/r^2 takes over from r = 20: the -csch(r)^2/r it drops is
+    ~2 ulp at r = 20 and less beyond, it stays within 6e-16 of mpmath up to
+    r = 1e12, and it needs no recurrence (whose depth passes its cap from
+    r ~ 2.2e8).
     """
     n = _check_order(n)
     arr = _as_positive_array(r)
     a = np.atleast_1d(arr)
-    p_next, p = (row.copy() for row in _ratios(n + 1, n, a))
-    out = a * p * (p_next - p)
-    return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def p0_derivative(r):
-    """dP_0/dr, always negative.
-
-    From r = 20 on it is the closed form 2/r^3 - coth(r)/r^2: the dropped
-    -csch(r)^2/r term is below an ulp of the rest there, and no recurrence
-    has to start ~sqrt(44 r) orders deep (past its cap beyond r ~ 2.2e8).
-    Below r = 20 it is pn_derivative(0, r), bit for bit.
-    """
-    arr = _as_positive_array(r)
-    a = np.atleast_1d(arr)
     out = np.empty_like(a)
-    large = a >= _P0_DERIVATIVE_CLOSED_FROM
-    rl = a[large]
+    large = (a >= _P0_DERIVATIVE_CLOSED_FROM) & (n == 0)
+    rl, rs = a[large], a[~large]
     out[large] = 2.0 / rl**3 - 1.0 / (rl * rl * np.tanh(rl))
-    if not large.all():
-        out[~large] = pn_derivative(0, a[~large])
+    p_next, p = (row.copy() for row in _ratios(n + 1, n, rs))
+    out[~large] = rs * p * (p_next - p)
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 

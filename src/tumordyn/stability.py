@@ -183,23 +183,15 @@ def mode_exponent(
     return _exponent(orbit, n, mu, tension, prolif)
 
 
-def mu_star(
-    params: ModelParams,
-    self_consistent: bool = False,
-    orbit: PeriodicSolution | None = None,
-) -> tuple[float, bool]:
-    """Critical proliferation coefficient theta_2.
+def mu_star(params: ModelParams) -> float:
+    """Self-consistent critical proliferation coefficient: the root of
+    mu = theta_2(orbit(mu)), to relative accuracy 1e-9.
 
-    By default theta_2 is evaluated on the orbit computed at params.mu (the
-    per-mu classification).  With self_consistent=True the root of
-    mu = theta_2(orbit(mu)) is returned instead, to relative accuracy 1e-9;
-    the two coincide for a constant nutrient supply, where the orbit is
+    theta_2 on the orbit at params.mu (the per-mu classification) is
+    ``theta_n(orbit, 2)``, which ``analyze`` reports as ``mu_star``; the two
+    coincide for a constant nutrient supply, where the orbit is
     mu-independent.
     """
-    if not self_consistent:
-        if orbit is None:
-            orbit = find_periodic(params)
-        return theta_n(orbit, 2), False
 
     def h(mu: float) -> float:
         trial = replace(params, mu=mu)
@@ -215,7 +207,7 @@ def mu_star(
         except (SolverError, ValueError, OverflowError):
             break
         if prev is not None and prev[1] < 0.0 <= h_try:
-            return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=1e-9), True
+            return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=1e-9)
         prev = (mu_try, h_try)
     raise NoPeriodicSolutionError("self-consistent mu_star not bracketed in [1e-6, 1e6]")
 
@@ -325,7 +317,7 @@ def analyze(
     )
     exponents = [_exponent(orbit, n, params.mu, tension, p) for n, p in enumerate(prolif)]
     crit = thresholds[0]
-    sc = mu_star(params, self_consistent=True)[0] if self_consistent else None
+    sc = mu_star(params) if self_consistent else None
     return StabilityReport(
         params=params,
         orbit=orbit,

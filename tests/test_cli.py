@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tumordyn import cli, periodic, radial, specfun
@@ -229,6 +229,15 @@ class TestSweep:
     def test_bad_grid_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [2.0, 1.0]}})
         assert run("sweep", cfg, tmp_path / "out") == 2
+
+    def test_overflowing_row_keeps_the_others(self, tmp_path, capsys):
+        # at mu = 1e308 the radius leaves the float range within one period
+        cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [1.0, 1e308]}}, sigma_tilde=0.5)
+        assert run("sweep", cfg, tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        rows = [r.split(",") for r in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["LinearlyUnstable", "Error"]
+        assert rows[1][-1] == "integration failed: the radius left the floating-point range"
 
     def test_workers_write_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.SWEEP)
@@ -466,8 +475,18 @@ def fuzz_configs(draw):
     return config
 
 
+LOW_SIGMA = {**BASE, "params": {**BASE["params"], "sigma_tilde": 0.5}}
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["simulate", "periodic", "stability", "sweep"]), config=fuzz_configs())
+# a radius or a result past the float range is a solver failure (R*(0) is
+# ~1.3 at BASE, so the rate fit starts finite there, and ~4.7 at LOW_SIGMA)
+@example(command="simulate", config={**BASE, "simulate": {"R0": 1e308}})
+@example(command="periodic", config={**BASE, "periodic": {"rate_R0_factor": 1e308}})
+@example(command="periodic", config={**LOW_SIGMA, "periodic": {"rate_R0_factor": 1e308}})
+@example(command="sweep", config={**LOW_SIGMA, "sweep": {"mu_grid": [1e308]}})
+@example(command="stability", config={**BASE, "params": {**BASE["params"], "gamma": 1e308}})
 def test_fuzz_cli_boundary(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

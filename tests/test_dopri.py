@@ -5,6 +5,8 @@ same numpy calls, so step counts, evaluation counts and every value must be
 bitwise equal to ``solve_ivp(method="RK45")`` on the same right side.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -89,7 +91,7 @@ def test_matches_rk45_bitwise(case):
 
     t_eval = np.linspace(0.0, t1, 16 * periods + 1)
     sol_e = _oracle(params, R0, t1, rtol, atol, t_eval=t_eval)
-    traj_e = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol, t_eval=t_eval)
+    traj_e = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol).resample(t_eval)
     assert traj_e.nfev == sol_e.nfev
     assert np.array_equal(traj_e.times, sol_e.t)
     assert np.array_equal(traj_e.radii, sol_e.y[0])
@@ -98,7 +100,7 @@ def test_matches_rk45_bitwise(case):
 def test_steps_do_not_depend_on_t_eval(default_params):
     free = integrate(default_params, 1.0, 0.0, 3.0)
     for t_eval in (np.linspace(0.0, 3.0, 4), np.linspace(0.0, 3.0, 301), [0.0, 3.0]):
-        sampled = integrate(default_params, 1.0, 0.0, 3.0, t_eval=t_eval)
+        sampled = integrate(default_params, 1.0, 0.0, 3.0).resample(t_eval)
         assert sampled.steps == free.steps == len(free.times) - 1
         assert sampled.nfev == free.nfev
 
@@ -113,15 +115,16 @@ def test_empty_and_nd_times(default_params, default_orbit):
         got = f(t)
         assert got.shape == t.shape
         assert np.array_equal(got.view(np.int64), f(t.ravel()).reshape(t.shape).view(np.int64))
-    sampled = integrate(default_params, 1.0, 0.0, 3.0, t_eval=[])
+    sampled = integrate(default_params, 1.0, 0.0, 3.0).resample([])
     assert sampled.times.size == sampled.radii.size == 0
     assert sampled.steps == traj.steps
 
 
 def test_bad_t_eval_rejected(default_params):
-    for t_eval in ([0.0, 2.0], [0.5, 0.5], [[0.0, 1.0]], [-0.1, 0.5]):
+    traj = integrate(default_params, 1.0, 0.0, 1.0)
+    for t_eval in ([0.0, 2.0], [0.5, 0.5], [[0.0, 1.0]], [-0.1, 0.5], [0.5, 0.25], [math.nan]):
         with pytest.raises(ValueError):
-            integrate(default_params, 1.0, 0.0, 1.0, t_eval=t_eval)
+            traj.resample(t_eval)
 
 
 def test_step_size_underflow_is_a_solver_error():

@@ -122,3 +122,22 @@ def test_dopri_solve_has_one_caller():
                     ):
                         callers.append((path.name, node.name))
     assert callers == [("radial.py", "integrate")]
+
+
+def _params(fn):
+    a = fn.args
+    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+    return names + [f"*{p.arg}" for p in (a.vararg, a.kwarg) if p is not None]
+
+
+def test_one_spelling_per_quantity():
+    """P0' is pn_derivative(0, .), a solve is read on a grid only by
+    Trajectory.resample, and mu_star(params) is the self-consistent root."""
+    defs = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fns = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert "p0_derivative" not in {fn.name for fn in fns}, path.name
+        defs.update({(path.name, fn.name): fn for fn in fns})
+    assert "t_eval" not in _params(defs["radial.py", "integrate"])
+    assert _params(defs["stability.py", "mu_star"]) == ["params"]

@@ -120,8 +120,7 @@ class TestFindPeriodic:
         fresh = integrate(
             default_params, default_orbit.R_star0, 0.0, T,
             rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL,
-            t_eval=np.linspace(0.0, T, 1025),
-        )
+        ).resample(np.linspace(0.0, T, 1025))
         assert np.array_equal(default_orbit.times, fresh.times)
         assert np.array_equal(default_orbit.radii.view(np.int64), fresh.radii.view(np.int64))
 
@@ -277,3 +276,7 @@ class TestConvergenceRate:
     def test_too_few_periods(self, default_params, default_orbit):
         with pytest.raises(InsufficientDataError):
             convergence_rate(default_params, 2.0, 3, orbit=default_orbit)
+
+    def test_horizon_shorter_than_burn_in_named(self, default_params, default_orbit):
+        with pytest.raises(InsufficientDataError, match="at least 13 periods .* 10-period burn-in"):
+            convergence_rate(default_params, 2.0 * default_orbit.R_star0, 8, orbit=default_orbit)

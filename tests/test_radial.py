@@ -11,6 +11,7 @@ from tumordyn import (
     ModelParams,
     PiecewiseLinearSchedule,
     SinusoidSchedule,
+    SolverError,
     classify_radial,
     dopri,
     extinction_diagnostics,
@@ -129,7 +130,7 @@ class TestIntegrate:
 
     def test_t_eval_grid(self, default_params):
         t_eval = np.linspace(0.0, 2.0, 11)
-        traj = integrate(default_params, 1.0, 0.0, 2.0, t_eval=t_eval)
+        traj = integrate(default_params, 1.0, 0.0, 2.0).resample(t_eval)
         assert np.array_equal(traj.times, t_eval)
         assert np.all(traj.radii > 0.0)
 
@@ -152,6 +153,12 @@ class TestIntegrate:
             integrate(default_params, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             integrate(default_params, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            integrate(default_params, 1.0, 0.0, 1.0, atol=0.0)
+
+    def test_overflowing_radius_is_solver_error(self, default_params):
+        with pytest.raises(SolverError, match="left the floating-point range"):
+            integrate(default_params, 1e308, 0.0, 1.0)
 
     def test_out_of_span_evaluation(self, default_params):
         traj = integrate(default_params, 1.0, 0.0, 1.0)
@@ -196,12 +203,12 @@ class TestExtinctionDiagnostics:
                 extinction_diagnostics(params, integrate(params, 1.0, t0, t1))
 
     def test_samples_are_a_fresh_solve(self, default_params):
-        # t_eval never moves a step, so reading one solve on the 32-per-period
-        # grid gives the bits of a second solve that samples that grid
+        # reading never moves a step, so reading one solve on the 32-per-period
+        # grid gives the bits of a second solve read on that grid
         params = replace(default_params, sigma_tilde=1.1)
-        traj = integrate(params, 1.0, 0.0, 12.0, t_eval=np.linspace(0.0, 12.0, 12 * 5 + 1))
+        traj = integrate(params, 1.0, 0.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 5 + 1))
         report = extinction_diagnostics(params, traj)
-        fresh = integrate(params, 1.0, 0.0, 12.0, t_eval=np.linspace(0.0, 12.0, 12 * 32 + 1))
+        fresh = integrate(params, 1.0, 0.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 32 + 1))
         assert np.array_equal(report.period_radii, fresh.radii[::32])
         assert report.final_radius == fresh.radii[-1]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumordyn import SolverError, p0, p0_inverse, pn, pn_derivative, specfun
-from tumordyn.specfun import _ratios, p0_derivative
+from tumordyn.specfun import _ratios
 
 mp.mp.dps = 40
 
@@ -147,7 +147,7 @@ class TestPn:
         with pytest.raises(SolverError):
             pn(2, 1e300)
         with pytest.raises(SolverError):
-            pn_derivative(0, np.array([3e9, 6e9]))
+            pn_derivative(1, np.array([3e9, 6e9]))
 
 
 def pn_derivative_oracle(n, r):
@@ -165,9 +165,11 @@ class TestPnDerivative:
 
     @pytest.mark.parametrize("n", [0, 2, 5])
     def test_large_argument_within_stated_bound(self, n):
-        # the docstring's bound: P_{n+1} - P_n cancels as both tend to 1/r
+        # n >= 1: P_{n+1} - P_n cancels as both tend to 1/r; n = 0 takes the
+        # closed form there
+        rel = 1e-12 if n == 0 else 4.0e-10
         for r in (1e2, 1e4, 1e5):
-            assert pn_derivative(n, r) == pytest.approx(pn_derivative_oracle(n, r), rel=4.0e-10, abs=0.0)
+            assert pn_derivative(n, r) == pytest.approx(pn_derivative_oracle(n, r), rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
     def test_negative(self, r):
@@ -191,22 +193,27 @@ class TestPnDerivative:
 
 
 class TestP0Derivative:
+    """pn_derivative(0, .): the closed form from r = 20, the recurrence below."""
+
     def test_closed_form_against_oracle(self):
         # P0' = -csch(r)^2/r - coth(r)/r^2 + 2/r^3, from the switch to r = 1e12
         for r in np.append(np.logspace(math.log10(20.0), 12, 60), 20.0):
             rm = mp.mpf(float(r))
             want = -1 / (mp.sinh(rm) ** 2 * rm) - mp.coth(rm) / rm**2 + 2 / rm**3
-            assert p0_derivative(float(r)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+            assert pn_derivative(0, float(r)) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_below_switch_is_pn_derivative(self):
+        # below r = 20 the bits of r P0 (P1 - P0) from one recurrence pass
         r = np.append(np.logspace(-4, math.log10(20.0), 50)[:-1], np.nextafter(20.0, 0.0))
-        assert np.array_equal(p0_derivative(r), pn_derivative(0, r))
+        p1, p0_ = (row.copy() for row in _ratios(1, 0, r))
+        assert np.array_equal(_bits(pn_derivative(0, r)), _bits(r * p0_ * (p1 - p0_)))
         # a batch that straddles the switch keeps the small value's bits
-        assert p0_derivative(np.array([1.3, 6e9]))[0] == pn_derivative(0, 1.3)
+        assert pn_derivative(0, np.array([1.3, 6e9]))[0] == pn_derivative(0, 1.3)
+        assert pn_derivative(0, np.array([1.3, 6e9]))[1] == pn_derivative(0, 6e9)
 
     def test_far_past_recurrence_cap(self):
-        # pn_derivative(0, .) needs more than the depth cap here
-        got = p0_derivative(np.array([3e9, 6e9]))
+        # a recurrence would need more than the depth cap here
+        got = pn_derivative(0, np.array([3e9, 6e9]))
         assert np.all(got < 0.0)
         assert got == pytest.approx(-1.0 / np.array([3e9, 6e9]) ** 2, rel=1e-9)
 

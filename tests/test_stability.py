@@ -86,31 +86,22 @@ class TestModeExponent:
 
 
 class TestMuStar:
-    def test_per_mu_equals_theta2(self, default_params, default_orbit):
-        val, sc = mu_star(default_params, orbit=default_orbit)
-        assert not sc
-        assert val == pytest.approx(theta_n(default_orbit, 2), rel=1e-14)
-
     def test_constant_supply_self_consistent(self, constant_params, constant_orbit):
-        # mu-independent orbit: both variants return the same threshold
-        per_mu, _ = mu_star(constant_params, orbit=constant_orbit)
-        sc_val, sc = mu_star(constant_params, self_consistent=True)
-        assert sc
-        assert sc_val == pytest.approx(per_mu, rel=1e-8)
+        # mu-independent orbit: the root equals the per-mu threshold
+        assert mu_star(constant_params) == pytest.approx(theta_n(constant_orbit, 2), rel=1e-8)
 
     def test_self_consistent_root(self, sinusoid):
         from tumordyn import ModelParams
 
         params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=sinusoid)
-        root, sc = mu_star(params, self_consistent=True)
-        assert sc
+        root = mu_star(params)
         orbit = find_periodic(replace(params, mu=root))
         assert root == pytest.approx(theta_n(orbit, 2), rel=1e-6)
 
     def test_self_consistent_no_root(self, default_params):
         # at sigma_tilde = 0.9 the threshold outruns mu on the whole grid
         with pytest.raises(NoPeriodicSolutionError):
-            mu_star(default_params, self_consistent=True)
+            mu_star(default_params)
 
 
 class TestEvolveMode:

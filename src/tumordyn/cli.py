@@ -36,11 +36,11 @@ SECTION_KEYS = {
     "sweep": ("mu_grid", "sigma_grid"),
 }
 # Work limits, with costs measured for a sinusoid supply on a 2-core x86-64
-# machine.  analyze evaluates every order up to n_max (~0.4 s at the limit).
-# simulate and the periodic rate fit integrate every period they are given
-# (~0.7 ms per period at mu = 1 and ~4 ms at mu = 100 at simulate's
-# tolerances, ~2.5x that at the rate fit's), and simulate writes one CSV row
-# of ~30 bytes per sample (~2 us each).  So every count is bounded.
+# machine.  analyze evaluates every order up to n_max (~0.15 s at the limit on
+# a collocated orbit, ~0.45 s on a shot one); simulate and the periodic rate
+# fit integrate every period they are given (~0.7 ms per period at mu = 1, ~4
+# ms at mu = 100 at simulate's tolerances, ~2.5x that at the rate fit's); and
+# simulate writes ~30 bytes per sample (~2 us each).  So every count is bounded.
 _N_MAX_LIMIT = 10_000
 _PERIODS_LIMIT = 10_000
 _ROWS_LIMIT = 1_000_000

@@ -83,9 +83,10 @@ class PeriodicSolution:
 
     ``method`` ("collocation" or "shooting"), ``map_evals``, the accepted
     ``collocation_nodes`` (0 on shooting) and the attempt's ``newton_steps``
-    say how R*(0) was found.
-    The mode-integral memo of ``stability`` is not a constructor argument,
-    so ``dataclasses.replace`` starts it empty.
+    say how R*(0) was found; ``node_radii`` are the accepted exp(u_j) at
+    t_j = j T / M (empty on shooting).  The mode-integral memo of
+    ``stability`` is not a constructor argument, so ``dataclasses.replace``
+    starts it empty.
     """
 
     params: ModelParams
@@ -102,6 +103,7 @@ class PeriodicSolution:
     map_evals: int = field(compare=False)
     collocation_nodes: int = field(compare=False)
     newton_steps: int = field(compare=False)
+    node_radii: np.ndarray = field(compare=False, repr=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
@@ -123,13 +125,13 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         return (poincare_map(params, r0) - r0) / min(1.0, r0)
 
     smooth = isinstance(params.schedule, (ConstantSchedule, SinusoidSchedule, FourierSchedule))
-    r, nodes, steps = _collocate(params, tol) if smooth else (None, 0, 0)
+    r, node_radii, steps = _collocate(params, tol) if smooth else (None, None, 0)
     # r <= x2 as P0(r) >= P0(x2) up to p0_inverse's tolerance: under a
     # constant supply the fixed point is x2
     y2 = params.sigma_tilde / (3.0 * params.schedule.maximum)
     method = "collocation"
     if not (r is not None and x_bar <= r and p0(r) >= y2 * (1.0 - P0_INVERSE_FTOL) and abs(G(r)) <= tol):
-        method, nodes = "shooting", 0
+        method, node_radii = "shooting", np.empty(0)
         g_lo = G(x_bar)
         g_hi = G(x2)
         slack = 1e-9
@@ -163,13 +165,15 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         _interp=traj._interp,
         method=method,
         map_evals=maps,
-        collocation_nodes=nodes,
+        collocation_nodes=node_radii.size,
         newton_steps=steps,
+        node_radii=node_radii,
     )
 
 
-def _collocate(params: ModelParams, tol: float) -> tuple[float | None, int, int]:
-    """(R*(0) or None, M, Newton steps) by Fourier collocation of u = log R.
+def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarray | None, int]:
+    """(R*(0), the M node radii exp(u_j), Newton steps) by Fourier
+    collocation of u = log R; (None, None, Newton steps) if it fails.
 
     Newton solves D u = mu (Phi P0(e^u) - sigma_tilde/3) at M equispaced
     nodes (D: Trefethen, Spectral Methods in MATLAB, ch. 3) until a chord
@@ -197,7 +201,7 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, int, int]
             for _ in range(_NEWTON_MAX):
                 R = np.exp(u)
                 if not np.all((R > 0.0) & (R < math.inf)):
-                    return None, m, steps
+                    return None, None, steps
                 # D u without u's mean rounds at the size of u's variation
                 F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
                 if prev > _CHORD_FROM:
@@ -206,23 +210,23 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, int, int]
                 step = float(np.max(np.abs(du)))
                 steps += 1
                 if not math.isfinite(step) or (prev > _CHORD_FROM and step > 4.0 * prev):
-                    return None, m, steps  # non-finite, or Newton diverging
+                    return None, None, steps  # non-finite, or Newton diverging
                 u = u - du
                 if prev <= _CHORD_FROM and not step < 0.5 * prev:
                     break
                 prev = step
             r = float(np.exp(u[0]))
             if not (0.0 < r < math.inf and step <= tol * min(1.0, 1.0 / r)):
-                return None, m, steps
+                return None, None, steps
             c = np.abs(np.fft.rfft(u))
             tail = float(np.max(c[3 * m // 8:])) / max(m, float(np.max(c)))
             if tail <= _TAIL_TOL:
-                return r, m, steps
+                return r, np.exp(u), steps
             # the decay since the last M, kept up to the cap, must reach _TAIL_TOL
             if tail_prev and tail * (tail / tail_prev) ** math.log2(_COLLOCATION_NODES[-1] / m) > _TAIL_TOL:
-                return None, m, steps
+                return None, None, steps
             tail_prev = tail
-    return None, m, steps
+    return None, None, steps
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -314,7 +318,12 @@ def convergence_rate(
         )
     tk = t_marks[ks]
     logd = np.log(np.abs(diffs[ks]))
-    slope, intercept = np.polyfit(tk, logd, 1)
+    # marks too close for polyfit's column scale must not reach LAPACK
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            slope, intercept = np.polyfit(tk, logd, 1)
+    except (FloatingPointError, ValueError) as exc:  # LinAlgError is a ValueError
+        raise InsufficientDataError(f"rate fit of log|R(kT) - R*(0)| on time failed: {exc}") from None
     fit = slope * tk + intercept
     ss_res = float(np.sum((logd - fit) ** 2))
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))

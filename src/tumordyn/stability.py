@@ -12,11 +12,13 @@ kept out of Lambda_n).  Mode n decays iff mu < theta_n, and the critical
 proliferation coefficient is mu_star = theta_2.
 
 The integrand is evaluated in one place, ``_mode_terms`` with its
-``_ModeTerms.integrals``, on the composite Gauss-Legendre nodes of
-``gauss_nodes``, the package's only quadrature rule.  Its order-free node
-terms and every integral taken from them are memoized on the orbit: the
-whole period once per orbit, with each order's integral computed once, and
-the latest fractional window [0, tau) that ``evolve_mode`` asked for.
+``_ModeTerms.integrals``.  A collocated orbit's period is taken by the
+trapezoid rule on its collocation nodes (geometric for smooth periodic
+integrands: Trefethen & Weideman, SIAM Review 56, 2014); a shot orbit's
+period and every fractional window [0, tau) by the composite Gauss-Legendre
+nodes of ``gauss_nodes``.  Node terms and integrals are memoized on the
+orbit: the whole period, each order once, and the latest window that
+``evolve_mode`` asked for, whose first pass takes every order the period holds.
 """
 
 from __future__ import annotations
@@ -102,35 +104,43 @@ def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     return tq, wq
 
 
-def _mode_terms(orbit: PeriodicSolution, edges: np.ndarray) -> _ModeTerms:
-    """Mode terms on the Gauss nodes between edges in [0, T]; every node is
-    inside the stored period, so orbit() reads it without wrapping."""
-    tq, wq = gauss_nodes(edges)
-    rq = orbit(tq)
-    p1q = pn(1, rq)
+def _mode_terms(orbit: PeriodicSolution, tq, wq, rq) -> _ModeTerms:
+    """Mode terms on nodes tq with weights wq and radii rq = R*(tq)."""
     weighted = wq * orbit.params.schedule(tq) * rq**2 * pn(0, rq)
-    return _ModeTerms(rq, weighted, p1q, float(np.sum(wq / rq**3)))
+    return _ModeTerms(rq, weighted, pn(1, rq), float(np.sum(wq / rq**3)))
 
 
 def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
     """Int_0^T 1/R*^3 and each order's proliferation integral, memoized on
-    the orbit, with one Gauss panel per stored step."""
+    the orbit: the trapezoid rule (weights T/M) on a collocated orbit's M
+    node radii, else one Gauss panel per stored step."""
     memo = orbit._mode_memo
     if "period" not in memo:
-        memo["period"] = _mode_terms(orbit, orbit.times)
+        rq, T = orbit.node_radii, orbit.period
+        if rq.size:
+            h = T / rq.size
+            memo["period"] = _mode_terms(orbit, np.arange(rq.size) * h, h, rq)
+        else:
+            tq, wq = gauss_nodes(orbit.times)
+            memo["period"] = _mode_terms(orbit, tq, wq, orbit(tq))
     terms = memo["period"]
     return terms.tension, terms.integrals(ns)
 
 
 def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[float, float]:
     """The same two integrals of order n over [0, tau), on 256 Gauss panels.
-    Only the latest window is kept, so the memo stays bounded."""
-    kept, terms = orbit._mode_memo.get("window", (None, None))
+    A missing order is reduced in one pass with every higher order the period
+    memo holds, so a study's later orders hit.  Only the latest window is
+    kept, so the memo stays bounded."""
+    memo = orbit._mode_memo
+    kept, terms = memo.get("window", (None, None))
     if kept != tau:
-        terms = _mode_terms(orbit, np.linspace(0.0, tau, 257))
-        orbit._mode_memo["window"] = (tau, terms)
-    (prolif,) = terms.integrals([n])
-    return terms.tension, prolif
+        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
+        terms = _mode_terms(orbit, tq, wq, orbit(tq))
+        memo["window"] = (tau, terms)
+    if n not in terms.prolif:
+        terms.integrals(range(n, max(n, *memo["period"].prolif) + 1))
+    return terms.tension, terms.prolif[n]
 
 
 def _own_or_valid_mu(orbit: PeriodicSolution, mu: float | None) -> float:

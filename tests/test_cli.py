@@ -107,6 +107,14 @@ class TestPeriodic:
         cfg = write_config(tmp_path, sigma_tilde=1.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
 
+    def test_rate_fit_failure_one_line_exit_1(self, tmp_path, capsys):
+        # period marks ~1e-300 apart underflow polyfit's column scale
+        cfg = write_config(tmp_path, {"schedule": {**BASE["schedule"], "period": 1e-300}})
+        assert run("periodic", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate fit of log|R(kT) - R*(0)| on time failed: ")
+        assert err.count("\n") == 1
+
 
 class TestBlasThreads:
     """The orbit solve uses no LAPACK, so no artifact depends on the BLAS
@@ -481,12 +489,14 @@ LOW_SIGMA = {**BASE, "params": {**BASE["params"], "sigma_tilde": 0.5}}
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(["simulate", "periodic", "stability", "sweep"]), config=fuzz_configs())
 # a radius or a result past the float range is a solver failure (R*(0) is
-# ~1.3 at BASE, so the rate fit starts finite there, and ~4.7 at LOW_SIGMA)
+# ~1.3 at BASE, so the rate fit starts finite there, and ~4.7 at LOW_SIGMA),
+# and so is a rate fit on period marks too close to scale
 @example(command="simulate", config={**BASE, "simulate": {"R0": 1e308}})
 @example(command="periodic", config={**BASE, "periodic": {"rate_R0_factor": 1e308}})
 @example(command="periodic", config={**LOW_SIGMA, "periodic": {"rate_R0_factor": 1e308}})
 @example(command="sweep", config={**LOW_SIGMA, "sweep": {"mu_grid": [1e308]}})
 @example(command="stability", config={**BASE, "params": {**BASE["params"], "gamma": 1e308}})
+@example(command="periodic", config={**BASE, "schedule": {**BASE["schedule"], "period": 1e-300}})
 def test_fuzz_cli_boundary(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -1,12 +1,15 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from tumordyn import (
+    ModelParams,
     NoPeriodicSolutionError,
+    PiecewiseLinearSchedule,
     Verdict,
     analyze,
     classify_stability,
@@ -38,6 +41,46 @@ class TestThetaN:
             theta_n(default_orbit, 1)
         with pytest.raises(ValueError):
             theta_n(default_orbit, 0)
+
+
+# Independent 25-digit oracle (ROADMAP item 1): Fourier collocation of
+# u = log R written in mpmath without package code, with theta_2 from the
+# trapezoid rule on its nodes and mpmath.besseli; M = 32, 48 and 64 agree.
+# Case: Phi = 1 + 0.5 sin(2 pi t), mu = 1, sigma_tilde = 0.5, gamma = 1.
+ORACLE_R_STAR0 = "4.670585825783967999023344"
+ORACLE_THETA2 = "0.4257460051525289081001786"
+
+
+def _rel_error(got, want) -> float:
+    return float(abs(mp.mpf(got) / mp.mpf(want) - 1))
+
+
+class TestOracle:
+    @pytest.fixture(scope="class")
+    def orbit(self, sinusoid):
+        return find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=sinusoid))
+
+    def test_theta2(self, orbit):
+        assert _rel_error(theta_n(orbit, 2), ORACLE_THETA2) <= 1e-14
+
+    def test_r_star0(self, orbit):
+        assert _rel_error(orbit.R_star0, ORACLE_R_STAR0) <= 1e-15
+
+    def test_constant_supply_closed_form(self, constant_params, constant_orbit):
+        # R* = x2 with Phi P0(x2) = sigma_tilde/3, so Int 1/R*^3 and the
+        # proliferation integral are T times their values at x2
+        phi, gamma = constant_params.schedule.value, constant_params.gamma
+
+        def ratio(n, r):
+            return mp.besseli(n + 1.5, r) / (r * mp.besseli(n + 0.5, r))
+
+        with mp.workdps(40):
+            s3 = mp.mpf(constant_params.sigma_tilde) / 3
+            x2 = mp.findroot(lambda r: phi * ratio(0, r) - s3, 1.0)
+            for n in range(2, 65):
+                curvature = gamma * n * (n * (n + 1) / 2 - 1) / x2**3
+                prolif = phi * x2**2 * ratio(0, x2) * (ratio(1, x2) - ratio(n, x2))
+                assert _rel_error(theta_n(constant_orbit, n), curvature / prolif) <= 1e-13, n
 
 
 class TestModeExponent:
@@ -91,8 +134,6 @@ class TestMuStar:
         assert mu_star(constant_params) == pytest.approx(theta_n(constant_orbit, 2), rel=1e-8)
 
     def test_self_consistent_root(self, sinusoid):
-        from tumordyn import ModelParams
-
         params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=sinusoid)
         root = mu_star(params)
         orbit = find_periodic(replace(params, mu=root))
@@ -221,7 +262,10 @@ class TestModeMemo:
         warm = mode_decay_bound_check(orbit, n_range=range(2, 65))
         assert warm == mode_decay_bound_check(replace(fresh), n_range=range(2, 65))
 
-    def test_one_pass_per_orbit_and_window(self, default_params, monkeypatch):
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """Node counts of the recurrence passes and right edges of the Gauss
+        node sets built, from here on."""
         sizes, builds = [], []
         ratios, nodes = stability._ratios, stability.gauss_nodes
 
@@ -235,10 +279,16 @@ class TestModeMemo:
 
         monkeypatch.setattr(stability, "_ratios", counted_ratios)
         monkeypatch.setattr(stability, "gauss_nodes", counted_nodes)
+        return sizes, builds
+
+    def test_one_pass_per_orbit_and_window(self, default_params, monkeypatch):
+        sizes, builds = self._count_passes(monkeypatch)
         orbit = analyze(default_params, n_max=64).orbit
         T = orbit.period
-        assert builds == [T]
-        assert sizes == [(orbit.times.size - 1) * 8]
+        # a collocated orbit's period is one pass over its own nodes
+        assert orbit.method == "collocation"
+        assert builds == []
+        assert sizes == [orbit.collocation_nodes]
         builds.clear()
         sizes.clear()
         for t in (T, 2.0 * T, 2.37 * T, 3.5 * T):
@@ -249,9 +299,20 @@ class TestModeMemo:
             theta_n(orbit, n)
             mode_exponent(orbit, n, mu=0.3)
         mode_decay_bound_check(orbit, n_range=range(2, 65))
-        # no full-period pass: only one pass per order in each of the two windows
+        # no full-period pass, and one pass for every order in each of the two windows
         assert builds == [2.37 * T - 2.0 * T, 0.5 * T]
-        assert sizes == [256 * 8] * (2 * 65)
+        assert sizes == [256 * 8] * 2
+
+    def test_shot_orbit_keeps_gauss_rule(self, monkeypatch):
+        schedule = PiecewiseLinearSchedule(
+            period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+        )
+        params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule)
+        sizes, builds = self._count_passes(monkeypatch)
+        orbit = analyze(params, n_max=8).orbit
+        assert (orbit.method, orbit.collocation_nodes, orbit.node_radii.size) == ("shooting", 0, 0)
+        assert builds == [orbit.times[-1]]
+        assert sizes == [(orbit.times.size - 1) * 8]
 
     def test_orbits_do_not_share_values(self, default_params):
         a = find_periodic(default_params)
@@ -265,6 +326,8 @@ class TestModeMemo:
         theta_n(default_orbit, 2)
         copy = replace(default_orbit)
         assert copy._mode_memo == {}
+        assert copy.node_radii is default_orbit.node_radii
+        assert copy.node_radii.size == copy.collocation_nodes > 0
         with pytest.raises(ValueError):
             replace(default_orbit, _mode_memo={})
 

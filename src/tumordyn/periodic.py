@@ -4,9 +4,11 @@ The Poincare map F(R0) = R(T) is a monotone self-map of the bracket
 [x_bar, x2] built from P0^{-1}; its unique fixed point seeds the periodic
 orbit.  A constant, sinusoid or Fourier supply first tries Fourier
 collocation of u = log R (``_collocate``), kept if it lies in the bracket and
-one period from it meets the residual gate.  Otherwise, and for every
+one period from it, or from one Newton step on the map (slope exp(-Lambda_0 T)
+from the nodes), meets the residual gate.  Otherwise, and for every
 piecewise-linear supply, the bracket signs are guaranteed, so the fixed
-point is a root of F(R0) - R0 found by Brent's method (``roots.find_root``).
+point is a root of F(R0) - R0 found by Brent's method (``roots.find_root``),
+as accurate as the map's error times 1/(1 - F'), large near mu = 0.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def poincare_map(params: ModelParams, R0: float) -> float:
 @functools.lru_cache(maxsize=1)
 def _one_period(params: ModelParams, R0: float) -> Trajectory:
     """The dense solve behind the latest map evaluation, kept so that
-    ``find_periodic`` reads its orbit from Brent's last point instead of
+    ``find_periodic`` reads its orbit from its last mapped point instead of
     integrating that period again."""
     return integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
 
@@ -81,12 +83,13 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
 class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
-    ``method`` ("collocation" or "shooting"), ``map_evals``, the accepted
-    ``collocation_nodes`` (0 on shooting) and the attempt's ``newton_steps``
-    say how R*(0) was found; ``node_radii`` are the accepted exp(u_j) at
-    t_j = j T / M (empty on shooting).  The mode-integral memo of
-    ``stability`` is not a constructor argument, so ``dataclasses.replace``
-    starts it empty.
+    ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a
+    collocated orbit), the accepted ``collocation_nodes`` (0 on shooting) and
+    the attempt's ``newton_steps`` say how R*(0) was found; ``node_radii``
+    are the accepted exp(u_j) at t_j = j T / M (empty on shooting), and
+    node_radii[0] is R_star0 up to a Newton step |F(r) - r| / (1 - F').  The
+    mode-integral memo of ``stability`` is not a constructor argument, so
+    ``dataclasses.replace`` starts it empty.
     """
 
     params: ModelParams
@@ -113,7 +116,9 @@ class PeriodicSolution:
 
 
 def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolution:
-    """Locate the fixed point of the Poincare map and store one dense period."""
+    """Locate the fixed point of the Poincare map and store one dense period:
+    the collocation root r, r + (F(r) - r) / (1 - F'), or Brent's root, the
+    first to meet |F(R0) - R0| <= tol * min(1, R0)."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x_bar, x2 = bracket(params)
@@ -129,13 +134,23 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
     # r <= x2 as P0(r) >= P0(x2) up to p0_inverse's tolerance: under a
     # constant supply the fixed point is x2
     y2 = params.sigma_tilde / (3.0 * params.schedule.maximum)
+
+    def inside(r0: float) -> bool:
+        return x_bar <= r0 and p0(r0) >= y2 * (1.0 - P0_INVERSE_FTOL)
+
     method = "collocation"
-    if not (r is not None and x_bar <= r and p0(r) >= y2 * (1.0 - P0_INVERSE_FTOL) and abs(G(r)) <= tol):
+    g = G(r) if r is not None and inside(r) else math.inf
+    if tol < abs(g) < math.inf:  # a near miss: one Newton step on F
+        phi = params.schedule(np.linspace(0.0, params.period, node_radii.size, endpoint=False))
+        log_slope = params.period * float(np.mean(_diagonal(params.mu, phi, node_radii)))
+        r -= g * min(1.0, r) / math.expm1(log_slope)  # F' = exp(log_slope) = exp(-Lambda_0 T)
+        g = G(r) if inside(r) else math.inf
+    if not abs(g) <= tol:
         method, node_radii = "shooting", np.empty(0)
-        g_lo = G(x_bar)
-        g_hi = G(x2)
         slack = 1e-9
-        if g_lo < -slack * max(1.0, x_bar) or g_hi > slack * max(1.0, x2):
+        g_lo = G(x_bar)
+        # x2 is mapped only if x_bar's sign holds
+        if g_lo < -slack * max(1.0, x_bar) or (g_hi := G(x2)) > slack * max(1.0, x2):
             raise SolverError(
                 "Poincare map bracket sign condition violated beyond tolerance; "
                 "tighten integrator tolerances"
@@ -205,7 +220,7 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
                 # D u without u's mean rounds at the size of u's variation
                 F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
                 if prev > _CHORD_FROM:
-                    jinv = _inverse(D - np.diag(mu * phi * pn_derivative(0, R) * R))
+                    jinv = _inverse(D - np.diag(_diagonal(mu, phi, R)))
                 du = (jinv * F).sum(axis=1)
                 step = float(np.max(np.abs(du)))
                 steps += 1
@@ -227,6 +242,11 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
                 return None, None, steps
             tail_prev = tail
     return None, None, steps
+
+
+def _diagonal(mu: float, phi: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """mu Phi P0'(R) R: d/du of the right side; its period mean is -Lambda_0."""
+    return mu * phi * pn_derivative(0, R) * R
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:

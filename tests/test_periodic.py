@@ -25,7 +25,7 @@ from tumordyn import (
     periodic,
     poincare_map,
 )
-from tumordyn.stability import gauss_nodes
+from tumordyn.stability import gauss_nodes, mode_exponent
 
 
 class TestBracket:
@@ -93,11 +93,10 @@ class TestFindPeriodic:
         assert orbit.residual <= 1e-11
         assert len(calls) <= 8
 
-    def test_orbit_read_from_last_map_solve(self, default_params, monkeypatch):
-        # at R* ~ 3e3 collocation cannot meet the gate, so Brent runs; its
-        # root is its last map evaluation, so storing the orbit integrates no
-        # extra period
-        params = replace(default_params, mu=100.0, sigma_tilde=1e-3)
+    def test_orbit_read_from_last_map_solve(self, monkeypatch):
+        # a piecewise supply always shoots; Brent's root is its last map
+        # evaluation, so storing the orbit integrates no extra period
+        params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=PIECEWISE)
         maps, solves = [], []
         inner_map, inner_integrate = periodic.poincare_map, periodic.integrate
 
@@ -211,7 +210,7 @@ class TestCollocation:
 
     @pytest.mark.parametrize("schedule", [SINUSOID, FOURIER], ids=["sinusoid", "fourier"])
     @pytest.mark.parametrize("mu", [0.1, 3.16, 100.0])
-    @pytest.mark.parametrize("sigma", [0.3, 0.6, 0.97])
+    @pytest.mark.parametrize("sigma", [0.3, 0.6, 0.97, 1e-3])
     def test_agrees_with_forced_shooting(self, monkeypatch, schedule, mu, sigma):
         params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
         spectral = find_periodic(params)
@@ -220,14 +219,69 @@ class TestCollocation:
         assert (spectral.method, shot.method) == ("collocation", "shooting")
         assert spectral.R_star0 == pytest.approx(shot.R_star0, rel=1e-10, abs=0.0)
 
-    def test_failed_attempt_keeps_shooting_error(self):
+    @pytest.mark.parametrize("schedule", [SINUSOID, FOURIER], ids=["sinusoid", "fourier"])
+    @pytest.mark.parametrize("mu", [0.1, 3.16, 100.0])
+    def test_near_miss_polished_by_one_map(self, monkeypatch, schedule, mu):
+        # at R* ~ 3e3 the RK45 map's own error exceeds the gate, so the
+        # collocation root misses it and takes one Newton step on the map
+        calls = _counted_maps(monkeypatch)
+        orbit = find_periodic(ModelParams(mu=mu, sigma_tilde=1e-3, gamma=1.0, schedule=schedule))
+        assert orbit.method == "collocation"
+        assert len(calls) == orbit.map_evals == 2
+        assert calls[1] == orbit.R_star0 != calls[0]
+        assert orbit.node_radii.size == orbit.collocation_nodes
+        assert orbit.residual <= 1e-11 * min(1.0, orbit.R_star0)
+
+    def test_wrong_slope_falls_back_to_shooting(self, monkeypatch):
+        params = ModelParams(mu=3.16, sigma_tilde=1e-3, gamma=1.0, schedule=SINUSOID)
+        polished = find_periodic(params)
+        collocate, diagonal = periodic._collocate, periodic._diagonal
+
+        def collocate_then_skew_slope(params, tol):
+            found = collocate(params, tol)
+            # 100 times the log slope: the Newton step covers ~1% of the miss
+            monkeypatch.setattr(periodic, "_diagonal", lambda mu, phi, R: 100.0 * diagonal(mu, phi, R))
+            return found
+
+        monkeypatch.setattr(periodic, "_collocate", collocate_then_skew_slope)
+        calls = _counted_maps(monkeypatch)
+        shot = find_periodic(params)
+        assert (polished.method, shot.method) == ("collocation", "shooting")
+        assert calls[0] != polished.R_star0 != calls[1]
+        assert len(calls) == shot.map_evals > 2
+        assert (shot.collocation_nodes, shot.node_radii.size) == (0, 0)
+        assert shot.residual <= 1e-11 * min(1.0, shot.R_star0)
+        assert shot.R_star0 == pytest.approx(polished.R_star0, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("schedule, mu, sigma", [
+        (SINUSOID, 1.0, 0.9), (SINUSOID, 0.1, 1e-3), (FOURIER, 100.0, 1e-3),
+    ], ids=["default", "tiny-mu0.1", "tiny-fourier-mu100"])
+    def test_map_slope_is_radial_multiplier(self, schedule, mu, sigma):
+        # F'(R*) = exp(-Lambda_0 T): the polish's slope, the radial mode's
+        # Floquet multiplier and a centered difference of the map agree
+        params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
+        orbit = find_periodic(params)
+        m, T, r = orbit.collocation_nodes, orbit.period, orbit.R_star0
+        assert m > 0
+        phi = schedule(np.arange(m) * (T / m))
+        slope = math.exp(T * float(np.mean(periodic._diagonal(mu, phi, orbit.node_radii))))
+        multiplier = math.exp(-mode_exponent(orbit, 0).lambda_bar * T)
+        assert abs(slope - multiplier) <= 1e-12
+        h = 1e-4 * r
+        centered = (poincare_map(params, r + h) - poincare_map(params, r - h)) / (2.0 * h)
+        assert abs(slope - centered) <= 1e-9
+
+    def test_failed_attempt_keeps_shooting_error(self, monkeypatch):
+        # G(x_bar) already violates its sign, so G(x2) is never evaluated
         params = ModelParams(mu=1e3, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID)
+        calls = _counted_maps(monkeypatch)
         with pytest.raises(SolverError) as info:
             find_periodic(params)
         assert str(info.value) == (
             "Poincare map bracket sign condition violated beyond tolerance; "
             "tighten integrator tolerances"
         )
+        assert calls == [bracket(params)[0]]
 
     @pytest.mark.parametrize("params", [
         ModelParams(mu=1e3, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID),

@@ -220,7 +220,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
     params = config.params
     T = params.period
     t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
-    traj = radial.integrate(params, R0, 0.0, n_periods * T).resample(t_eval)
+    traj = radial.integrate(params, R0, n_periods * T).resample(t_eval)
     _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
 
     verdict = radial.classify_radial(params)
@@ -255,7 +255,7 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
     R0 = rate_factor * orbit.R_star0
     if not math.isfinite(R0):
         raise TumordynError("the rate fit's start rate_R0_factor * R*(0) left the floating-point range")
-    fit = periodic_mod.convergence_rate(params, R0, rate_periods, orbit=orbit)
+    fit = periodic_mod.convergence_rate(orbit, R0, rate_periods)
     _write_json(
         out / "summary.json",
         {
@@ -277,7 +277,7 @@ def cmd_stability(config: RunConfig, out: Path) -> None:
     if type(self_consistent) is not bool:
         raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")
     params = config.params
-    report = stability.analyze(params, n_max=n_max, self_consistent=self_consistent)
+    report = stability.analyze(params, n_max=n_max)
     exponents = [
         {"n": e.mode, "lambda_bar": e.lambda_bar, "multiplier": e.floquet_multiplier}
         for e in report.exponents
@@ -286,8 +286,8 @@ def cmd_stability(config: RunConfig, out: Path) -> None:
         out / "report.json",
         {
             "params": _params_summary(params),
-            "mu_star": report.mu_star,
-            "self_consistent_mu_star": report.self_consistent_mu_star,
+            "mu_star": report.thresholds[0],
+            "self_consistent_mu_star": stability.mu_star(params) if self_consistent else None,
             "thresholds": list(report.thresholds),
             "exponents": exponents,
             "verdict": report.verdict.value,

@@ -76,7 +76,7 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
     """The dense solve behind the latest map evaluation, kept so that
     ``find_periodic`` reads its orbit from its last mapped point instead of
     integrating that period again."""
-    return integrate(params, R0, 0.0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
+    return integrate(params, R0, params.period, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
 
 
 @dataclass
@@ -84,10 +84,10 @@ class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
     ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a
-    collocated orbit), the accepted ``collocation_nodes`` (0 on shooting) and
-    the attempt's ``newton_steps`` say how R*(0) was found; ``node_radii``
-    are the accepted exp(u_j) at t_j = j T / M (empty on shooting), and
-    node_radii[0] is R_star0 up to a Newton step |F(r) - r| / (1 - F').  The
+    collocated orbit) and the attempt's ``newton_steps`` say how R*(0) was
+    found; ``node_radii`` are the accepted exp(u_j) at t_j = j T / M (M = 0
+    on shooting), and node_radii[0] is R_star0 up to a Newton step
+    |F(r) - r| / (1 - F').  ``bracket(params)`` encloses R_star0.  The
     mode-integral memo of ``stability`` is not a constructor argument, so
     ``dataclasses.replace`` starts it empty.
     """
@@ -100,11 +100,9 @@ class PeriodicSolution:
     R_min: float
     R_max: float
     residual: float
-    bracket: tuple[float, float]
     _interp: DenseSolution = field(repr=False)
     method: str = field(compare=False)
     map_evals: int = field(compare=False)
-    collocation_nodes: int = field(compare=False)
     newton_steps: int = field(compare=False)
     node_radii: np.ndarray = field(compare=False, repr=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -176,11 +174,9 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         R_min=r_min,
         R_max=r_max,
         residual=residual,
-        bracket=(x_bar, x2),
         _interp=traj._interp,
         method=method,
         map_evals=maps,
-        collocation_nodes=node_radii.size,
         newton_steps=steps,
         node_radii=node_radii,
     )
@@ -296,23 +292,18 @@ class RateFit:
 
 
 def convergence_rate(
-    params: ModelParams,
-    R0: float,
-    n_periods: int,
-    orbit: PeriodicSolution | None = None,
-    burn_in: int = RATE_BURN_IN,
+    orbit: PeriodicSolution, R0: float, n_periods: int, burn_in: int = RATE_BURN_IN
 ) -> RateFit:
-    """Fit log|R(kT) - R*(kT)| linearly in time and compare with the
-    analytic contraction bound mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
+    """Fit log|R(kT) - R*(kT)| of a solve from R0, under the orbit's
+    parameters, linearly in time and compare with the analytic contraction
+    bound mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
 
     M_min is the minimum of -P0' over the comparison interval
     [min(R0/R*(0),1)*R_min, max(R0/R*(0),1)*R_max].  The first burn_in
     periods are excluded from the fit: the approach is exponential only
     asymptotically, and the early nonlinear transient bends the log plot.
     """
-    if orbit is None:
-        orbit = find_periodic(params)
-    R_star0 = orbit.R_star0
+    params, R_star0 = orbit.params, orbit.R_star0
     if abs(R0 - R_star0) <= 1e-9 * R_star0:
         raise InsufficientDataError(
             "initial radius is on the periodic orbit; no rate to fit"
@@ -325,7 +316,7 @@ def convergence_rate(
 
     T = params.period
     t_marks = np.arange(n_periods + 1) * T
-    traj = integrate(params, R0, 0.0, n_periods * T, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
+    traj = integrate(params, R0, n_periods * T, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
     diffs = traj.resample(t_marks).radii - R_star0
     one_sided = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 

@@ -118,13 +118,12 @@ def _require_positive(radii: np.ndarray) -> np.ndarray:
 def integrate(
     params: ModelParams,
     R0: float,
-    t0: float,
     t1: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) solve with dense output (``dopri``),
-    read on a grid with ``Trajectory.resample``.
+    """Adaptive Dormand-Prince 5(4) solve from R(0) = R0 to t1 with dense
+    output (``dopri``), read on a grid with ``Trajectory.resample``.
 
     Positivity is verified on the accepted nodes; the right side treats
     non-positive trial radii as stationary so the integrator cannot step
@@ -132,19 +131,19 @@ def integrate(
     """
     if not (R0 > 0.0 and math.isfinite(R0)):
         raise ValueError(f"initial radius must be positive and finite, got {R0}")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
+    if not t1 > 0.0:
+        raise ValueError(f"t1 must be positive, got {t1}")
     if not atol > 0.0:
         raise ValueError(f"atol must be positive, got {atol}")
     try:
         with np.errstate(over="ignore"):  # an overflow ends the solve below
-            interp, nfev = dopri.solve(_right_side(params), float(t0), float(R0), float(t1), rtol, atol)
+            interp, nfev = dopri.solve(_right_side(params), 0.0, float(R0), float(t1), rtol, atol)
     except ValueError as exc:  # P0 of an infinite radius
         raise SolverError("integration failed: the radius left the floating-point range") from exc
     return Trajectory(
         times=interp.ts,
         radii=_require_positive(interp.ys),
-        t0=t0,
+        t0=0.0,
         t1=t1,
         steps=len(interp.ts) - 1,
         nfev=nfev,

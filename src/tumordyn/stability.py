@@ -143,15 +143,6 @@ def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[floa
     return terms.tension, terms.prolif[n]
 
 
-def _own_or_valid_mu(orbit: PeriodicSolution, mu: float | None) -> float:
-    """The orbit's own mu, or an override that must be finite and positive."""
-    if mu is None:
-        return orbit.params.mu
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
-    return mu
-
-
 def _curvature_part(params: ModelParams, n: int, tension: float) -> float:
     """gamma * n(n(n+1)/2 - 1) times Int 1/R*^3."""
     return params.gamma * (n * (n * (n + 1) / 2.0 - 1.0)) * tension
@@ -161,11 +152,9 @@ def _threshold(params: ModelParams, n: int, tension: float, prolif: float) -> fl
     return _curvature_part(params, n, tension) / prolif
 
 
-def _exponent(
-    orbit: PeriodicSolution, n: int, mu: float, tension: float, prolif: float
-) -> ModeExponent:
+def _exponent(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> ModeExponent:
     T = orbit.period
-    lam = (_curvature_part(orbit.params, n, tension) - mu * prolif) / T
+    lam = (_curvature_part(orbit.params, n, tension) - orbit.params.mu * prolif) / T
     return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=math.exp(-lam * T))
 
 
@@ -178,19 +167,13 @@ def theta_n(orbit: PeriodicSolution, n: int) -> float:
     return _threshold(orbit.params, n, tension, prolif)
 
 
-def mode_exponent(
-    orbit: PeriodicSolution, n: int, mu: float | None = None
-) -> ModeExponent:
-    """Period-averaged decay rate Lambda_n of mode n on this orbit.
-
-    Lambda_1 is exactly zero (translation modes are neutral).  mu defaults to
-    the orbit's own parameter; passing another value evaluates the exponent
-    formula on the frozen orbit.
-    """
+def mode_exponent(orbit: PeriodicSolution, n: int) -> ModeExponent:
+    """Period-averaged decay rate Lambda_n of mode n on this orbit, at the
+    orbit's own mu.  Lambda_1 is exactly zero (translation modes are
+    neutral)."""
     n = _check_order(n)
-    mu = _own_or_valid_mu(orbit, mu)
     tension, (prolif,) = _period_integrals(orbit, [n])
-    return _exponent(orbit, n, mu, tension, prolif)
+    return _exponent(orbit, n, tension, prolif)
 
 
 def mu_star(params: ModelParams) -> float:
@@ -198,8 +181,8 @@ def mu_star(params: ModelParams) -> float:
     mu = theta_2(orbit(mu)), to relative accuracy 1e-9.
 
     theta_2 on the orbit at params.mu (the per-mu classification) is
-    ``theta_n(orbit, 2)``, which ``analyze`` reports as ``mu_star``; the two
-    coincide for a constant nutrient supply, where the orbit is
+    ``theta_n(orbit, 2)``, which ``analyze`` reports as ``thresholds[0]``;
+    the two coincide for a constant nutrient supply, where the orbit is
     mu-independent.
     """
 
@@ -251,7 +234,6 @@ def evolve_mode(
 class DecayBoundReport:
     """Check of the cubic-in-n decay floor Lambda_n >= delta * (n^3 + 1)."""
 
-    mu: float
     theta2: float
     delta_hat: float
     candidate_floor: float
@@ -260,14 +242,11 @@ class DecayBoundReport:
     ok: bool
 
 
-def mode_decay_bound_check(
-    orbit: PeriodicSolution,
-    n_range=range(2, 33),
-    mu: float | None = None,
-) -> DecayBoundReport:
+def mode_decay_bound_check(orbit: PeriodicSolution, n_range=range(2, 33)) -> DecayBoundReport:
     """Verify min_n Lambda_n/(n^3+1) clears the analytic floor
-    (mu/theta2)(theta2/mu - 1) * gamma / (4 R_max^3), up to 5%."""
-    mu = _own_or_valid_mu(orbit, mu)
+    (mu/theta2)(theta2/mu - 1) * gamma / (4 R_max^3), up to 5%, at the
+    orbit's own mu."""
+    mu = orbit.params.mu
     ns = [_check_order(n) for n in n_range]
     tension, prolif = _period_integrals(orbit, [2, *ns])
     theta2 = _threshold(orbit.params, 2, tension, prolif[0])
@@ -276,7 +255,7 @@ def mode_decay_bound_check(
     per_mode = []
     nonpositive = []
     for n, p in zip(ns, prolif[1:]):
-        lam = _exponent(orbit, n, mu, tension, p).lambda_bar
+        lam = _exponent(orbit, n, tension, p).lambda_bar
         per_mode.append((n, lam / (n**3 + 1)))
         if lam <= 0.0:
             nonpositive.append(n)
@@ -290,7 +269,6 @@ def mode_decay_bound_check(
     )
     ok = not nonpositive and delta_hat >= 0.95 * floor
     return DecayBoundReport(
-        mu=mu,
         theta2=theta2,
         delta_hat=delta_hat,
         candidate_floor=floor,
@@ -302,20 +280,13 @@ def mode_decay_bound_check(
 
 @dataclass
 class StabilityReport:
-    params: ModelParams
     orbit: PeriodicSolution
     thresholds: np.ndarray        # theta_n for n = 2..n_max
-    mu_star: float                # theta_2 on the orbit at params.mu
-    self_consistent_mu_star: float | None
     exponents: list[ModeExponent]  # n = 0..n_max
     verdict: Verdict
 
 
-def analyze(
-    params: ModelParams,
-    n_max: int = DEFAULT_N_MAX,
-    self_consistent: bool = False,
-) -> StabilityReport:
+def analyze(params: ModelParams, n_max: int = DEFAULT_N_MAX) -> StabilityReport:
     """Full per-mode stability report at the given parameters (n_max >= 2)."""
     n_max = _check_order(n_max)
     if n_max < 2:
@@ -325,15 +296,10 @@ def analyze(
     thresholds = np.array(
         [_threshold(params, n, tension, prolif[n]) for n in range(2, n_max + 1)]
     )
-    exponents = [_exponent(orbit, n, params.mu, tension, p) for n, p in enumerate(prolif)]
-    crit = thresholds[0]
-    sc = mu_star(params) if self_consistent else None
+    exponents = [_exponent(orbit, n, tension, p) for n, p in enumerate(prolif)]
     return StabilityReport(
-        params=params,
         orbit=orbit,
         thresholds=thresholds,
-        mu_star=crit,
-        self_consistent_mu_star=sc,
         exponents=exponents,
-        verdict=classify_stability(params.mu, crit),
+        verdict=classify_stability(params.mu, thresholds[0]),
     )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tumordyn import cli, periodic, radial, specfun
+from tumordyn import cli, periodic, radial, specfun, stability
 from tumordyn.cli import main
 
 BASE = {
@@ -159,6 +159,15 @@ class TestStability:
         # modes 0 and 1 carry no threshold column entry
         assert modes[1].split(",")[1] == ""
 
+
+    def test_self_consistent_mu_star(self, tmp_path):
+        cfg = write_config(
+            tmp_path, extra={"stability": {"n_max": 2, "self_consistent": True}}, sigma_tilde=0.5
+        )
+        out = tmp_path / "out"
+        assert run("stability", cfg, out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["self_consistent_mu_star"] == stability.mu_star(cli.load_config(cfg).params)
 
     def test_high_n_max(self, tmp_path):
         cfg = write_config(tmp_path, extra={"stability": {"n_max": 100}})

@@ -74,7 +74,7 @@ def test_matches_rk45_bitwise(case):
     params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=SCHEDULES[form])
     t1 = periods * params.period
     sol = _oracle(params, R0, t1, rtol, atol)
-    traj = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol)
+    traj = integrate(params, R0, t1, rtol=rtol, atol=atol)
     assert traj.nfev == sol.nfev
     assert traj.steps == len(sol.t) - 1
     assert np.array_equal(traj.times, sol.t)
@@ -91,22 +91,22 @@ def test_matches_rk45_bitwise(case):
 
     t_eval = np.linspace(0.0, t1, 16 * periods + 1)
     sol_e = _oracle(params, R0, t1, rtol, atol, t_eval=t_eval)
-    traj_e = integrate(params, R0, 0.0, t1, rtol=rtol, atol=atol).resample(t_eval)
+    traj_e = integrate(params, R0, t1, rtol=rtol, atol=atol).resample(t_eval)
     assert traj_e.nfev == sol_e.nfev
     assert np.array_equal(traj_e.times, sol_e.t)
     assert np.array_equal(traj_e.radii, sol_e.y[0])
 
 
 def test_steps_do_not_depend_on_t_eval(default_params):
-    free = integrate(default_params, 1.0, 0.0, 3.0)
+    free = integrate(default_params, 1.0, 3.0)
     for t_eval in (np.linspace(0.0, 3.0, 4), np.linspace(0.0, 3.0, 301), [0.0, 3.0]):
-        sampled = integrate(default_params, 1.0, 0.0, 3.0).resample(t_eval)
+        sampled = integrate(default_params, 1.0, 3.0).resample(t_eval)
         assert sampled.steps == free.steps == len(free.times) - 1
         assert sampled.nfev == free.nfev
 
 
 def test_empty_and_nd_times(default_params, default_orbit):
-    traj = integrate(default_params, 1.0, 0.0, 3.0)
+    traj = integrate(default_params, 1.0, 3.0)
     t = np.random.default_rng(3).uniform(0.0, 3.0, (6, 7, 5))
     for f in (traj._interp, traj, default_orbit):
         for empty in ([], np.empty((0, 4))):
@@ -115,13 +115,13 @@ def test_empty_and_nd_times(default_params, default_orbit):
         got = f(t)
         assert got.shape == t.shape
         assert np.array_equal(got.view(np.int64), f(t.ravel()).reshape(t.shape).view(np.int64))
-    sampled = integrate(default_params, 1.0, 0.0, 3.0).resample([])
+    sampled = integrate(default_params, 1.0, 3.0).resample([])
     assert sampled.times.size == sampled.radii.size == 0
     assert sampled.steps == traj.steps
 
 
 def test_bad_t_eval_rejected(default_params):
-    traj = integrate(default_params, 1.0, 0.0, 1.0)
+    traj = integrate(default_params, 1.0, 1.0)
     for t_eval in ([0.0, 2.0], [0.5, 0.5], [[0.0, 1.0]], [-0.1, 0.5], [0.5, 0.25], [math.nan]):
         with pytest.raises(ValueError):
             traj.resample(t_eval)

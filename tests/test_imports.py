@@ -132,12 +132,16 @@ def _params(fn):
 
 def test_one_spelling_per_quantity():
     """P0' is pn_derivative(0, .), a solve is read on a grid only by
-    Trajectory.resample, and mu_star(params) is the self-consistent root."""
+    Trajectory.resample, mu_star(params) is the self-consistent root, and
+    functions on an orbit take no mu or params beside it."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         fns = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         assert "p0_derivative" not in {fn.name for fn in fns}, path.name
         defs.update({(path.name, fn.name): fn for fn in fns})
-    assert "t_eval" not in _params(defs["radial.py", "integrate"])
+    assert not {"t_eval", "t0"} & set(_params(defs["radial.py", "integrate"]))
     assert _params(defs["stability.py", "mu_star"]) == ["params"]
+    for name in ("mode_exponent", "mode_decay_bound_check", "analyze"):
+        assert not {"mu", "self_consistent"} & set(_params(defs["stability.py", name])), name
+    assert _params(defs["periodic.py", "convergence_rate"])[:2] == ["orbit", "R0"]

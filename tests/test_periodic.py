@@ -117,7 +117,7 @@ class TestFindPeriodic:
     def test_stored_orbit_bit_equal_to_fresh_solve(self, default_params, default_orbit):
         T = default_params.period
         fresh = integrate(
-            default_params, default_orbit.R_star0, 0.0, T,
+            default_params, default_orbit.R_star0, T,
             rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL,
         ).resample(np.linspace(0.0, T, 1025))
         assert np.array_equal(default_orbit.times, fresh.times)
@@ -156,7 +156,7 @@ class TestFindPeriodic:
         assert constant_orbit.R_max - constant_orbit.R_min <= 1e-9 * r_eq
 
     def test_uniqueness_scan(self, default_params, default_orbit):
-        lo, hi = default_orbit.bracket
+        lo, hi = bracket(default_params)
         grid = np.linspace(lo / 2.0, 2.0 * hi, 60)
         signs = np.sign(
             [poincare_map(default_params, float(r)) - float(r) for r in grid]
@@ -195,9 +195,20 @@ class TestCollocation:
         assert orbit.method == "collocation"
         assert len(calls) == orbit.map_evals == 1
         assert calls == [orbit.R_star0]
-        assert orbit.collocation_nodes in (32, 64, 128, 256)
+        assert orbit.node_radii.size in (32, 64, 128, 256)
         assert orbit.newton_steps >= 1
         assert orbit.residual <= 1e-11 * min(1.0, orbit.R_star0)
+
+    def test_slow_tail_decay_gives_up(self, monkeypatch):
+        # at mu = 200 the spectrum of u decays too slowly from M = 32 to 64
+        # to reach _TAIL_TOL by M = 256, so the attempt stops after M = 64
+        params = ModelParams(mu=200.0, sigma_tilde=0.6, gamma=1.0, schedule=SINUSOID)
+        sizes, inverse = [], periodic._inverse
+        monkeypatch.setattr(periodic, "_inverse", lambda a: sizes.append(len(a)) or inverse(a))
+        r, node_radii, steps = periodic._collocate(params, periodic.DEFAULT_TOL)
+        assert (r, node_radii) == (None, None)
+        assert steps >= 1
+        assert (sizes[0], sizes[-1]) == (32, 64)
 
     def test_piecewise_never_collocates(self, monkeypatch):
         attempts = []
@@ -205,7 +216,7 @@ class TestCollocation:
         calls = _counted_maps(monkeypatch)
         orbit = find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=PIECEWISE))
         assert attempts == []
-        assert (orbit.method, orbit.collocation_nodes, orbit.newton_steps) == ("shooting", 0, 0)
+        assert (orbit.method, orbit.node_radii.size, orbit.newton_steps) == ("shooting", 0, 0)
         assert len(calls) == orbit.map_evals
 
     @pytest.mark.parametrize("schedule", [SINUSOID, FOURIER], ids=["sinusoid", "fourier"])
@@ -229,7 +240,7 @@ class TestCollocation:
         assert orbit.method == "collocation"
         assert len(calls) == orbit.map_evals == 2
         assert calls[1] == orbit.R_star0 != calls[0]
-        assert orbit.node_radii.size == orbit.collocation_nodes
+        assert orbit.node_radii.size > 0
         assert orbit.residual <= 1e-11 * min(1.0, orbit.R_star0)
 
     def test_wrong_slope_falls_back_to_shooting(self, monkeypatch):
@@ -249,7 +260,7 @@ class TestCollocation:
         assert (polished.method, shot.method) == ("collocation", "shooting")
         assert calls[0] != polished.R_star0 != calls[1]
         assert len(calls) == shot.map_evals > 2
-        assert (shot.collocation_nodes, shot.node_radii.size) == (0, 0)
+        assert shot.node_radii.size == 0
         assert shot.residual <= 1e-11 * min(1.0, shot.R_star0)
         assert shot.R_star0 == pytest.approx(polished.R_star0, rel=1e-10, abs=0.0)
 
@@ -261,7 +272,7 @@ class TestCollocation:
         # Floquet multiplier and a centered difference of the map agree
         params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
         orbit = find_periodic(params)
-        m, T, r = orbit.collocation_nodes, orbit.period, orbit.R_star0
+        m, T, r = orbit.node_radii.size, orbit.period, orbit.R_star0
         assert m > 0
         phi = schedule(np.arange(m) * (T / m))
         slope = math.exp(T * float(np.mean(periodic._diagonal(mu, phi, orbit.node_radii))))
@@ -297,40 +308,34 @@ class TestCollocation:
         assert [str(w.message) for w in caught] == []
 
     def test_observability_fields_stay_out_of_equality(self):
-        names = {"method", "map_evals", "collocation_nodes", "newton_steps"}
+        names = {"method", "map_evals", "newton_steps"}
         flags = {f.name: f.compare for f in dataclasses.fields(periodic.PeriodicSolution)}
         assert names <= set(flags)
         assert not any(flags[name] for name in names)
 
 
 class TestConvergenceRate:
-    def test_fit_from_above(self, default_params, default_orbit):
-        fit = convergence_rate(
-            default_params, 2.0 * default_orbit.R_star0, 180, orbit=default_orbit, burn_in=40
-        )
+    def test_fit_from_above(self, default_orbit):
+        fit = convergence_rate(default_orbit, 2.0 * default_orbit.R_star0, 180, burn_in=40)
         assert fit.r_squared >= 0.999
         assert fit.delta_hat >= 0.95 * fit.delta_bound
         assert fit.one_sided
 
-    def test_fit_from_below(self, default_params, default_orbit):
+    def test_fit_from_below(self, default_orbit):
         # the approach from below has a longer nonlinear transient, so more
         # of the early periods are excluded before fitting
-        fit = convergence_rate(
-            default_params, 0.5 * default_orbit.R_star0, 180, orbit=default_orbit, burn_in=40
-        )
+        fit = convergence_rate(default_orbit, 0.5 * default_orbit.R_star0, 180, burn_in=40)
         assert fit.r_squared >= 0.999
         assert fit.delta_hat >= 0.95 * fit.delta_bound
 
-    def test_on_orbit_start_rejected(self, default_params, default_orbit):
+    def test_on_orbit_start_rejected(self, default_orbit):
         with pytest.raises(InsufficientDataError):
-            convergence_rate(
-                default_params, default_orbit.R_star0, 20, orbit=default_orbit
-            )
+            convergence_rate(default_orbit, default_orbit.R_star0, 20)
 
-    def test_too_few_periods(self, default_params, default_orbit):
+    def test_too_few_periods(self, default_orbit):
         with pytest.raises(InsufficientDataError):
-            convergence_rate(default_params, 2.0, 3, orbit=default_orbit)
+            convergence_rate(default_orbit, 2.0, 3)
 
-    def test_horizon_shorter_than_burn_in_named(self, default_params, default_orbit):
+    def test_horizon_shorter_than_burn_in_named(self, default_orbit):
         with pytest.raises(InsufficientDataError, match="at least 13 periods .* 10-period burn-in"):
-            convergence_rate(default_params, 2.0 * default_orbit.R_star0, 8, orbit=default_orbit)
+            convergence_rate(default_orbit, 2.0 * default_orbit.R_star0, 8)

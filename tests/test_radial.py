@@ -119,18 +119,18 @@ class TestIntegrate:
             return solve(recorded, *args)
 
         monkeypatch.setattr(dopri, "solve", recording_solve)
-        traj = integrate(default_params, 1.0, 0.0, 1.0)
+        traj = integrate(default_params, 1.0, 1.0)
         assert len(calls) == traj.nfev
         assert all(type(t) is float and type(R) is float for t, R, _ in calls)
         assert all(_bits(dR) == _bits(rhs(default_params, t, R)) for t, R, dR in calls)
 
     def test_dense_output_matches_nodes(self, default_params):
-        traj = integrate(default_params, 1.0, 0.0, 3.0)
+        traj = integrate(default_params, 1.0, 3.0)
         assert traj(traj.times[5]) == pytest.approx(traj.radii[5], rel=1e-12)
 
     def test_t_eval_grid(self, default_params):
         t_eval = np.linspace(0.0, 2.0, 11)
-        traj = integrate(default_params, 1.0, 0.0, 2.0).resample(t_eval)
+        traj = integrate(default_params, 1.0, 2.0).resample(t_eval)
         assert np.array_equal(traj.times, t_eval)
         assert np.all(traj.radii > 0.0)
 
@@ -139,29 +139,29 @@ class TestIntegrate:
         from tumordyn import p0_inverse
 
         r_eq = p0_inverse(constant_params.sigma_tilde / 3.0)
-        traj = integrate(constant_params, r_eq, 0.0, 5.0)
+        traj = integrate(constant_params, r_eq, 5.0)
         assert np.max(np.abs(traj.radii - r_eq)) <= 1e-8 * r_eq
 
     def test_tolerance_controls_accuracy(self, default_params):
-        loose = integrate(default_params, 1.0, 0.0, 5.0, rtol=1e-6, atol=1e-8)
-        tight = integrate(default_params, 1.0, 0.0, 5.0, rtol=1e-12, atol=1e-14)
+        loose = integrate(default_params, 1.0, 5.0, rtol=1e-6, atol=1e-8)
+        tight = integrate(default_params, 1.0, 5.0, rtol=1e-12, atol=1e-14)
         assert loose(5.0) == pytest.approx(tight(5.0), rel=1e-5)
         assert loose.steps < tight.steps
 
     def test_bad_inputs(self, default_params):
         with pytest.raises(ValueError):
-            integrate(default_params, 0.0, 0.0, 1.0)
+            integrate(default_params, 0.0, 1.0)
         with pytest.raises(ValueError):
-            integrate(default_params, 1.0, 1.0, 1.0)
+            integrate(default_params, 1.0, 0.0)
         with pytest.raises(ValueError):
-            integrate(default_params, 1.0, 0.0, 1.0, atol=0.0)
+            integrate(default_params, 1.0, 1.0, atol=0.0)
 
     def test_overflowing_radius_is_solver_error(self, default_params):
         with pytest.raises(SolverError, match="left the floating-point range"):
-            integrate(default_params, 1e308, 0.0, 1.0)
+            integrate(default_params, 1e308, 1.0)
 
     def test_out_of_span_evaluation(self, default_params):
-        traj = integrate(default_params, 1.0, 0.0, 1.0)
+        traj = integrate(default_params, 1.0, 1.0)
         with pytest.raises(ValueError):
             traj(2.0)
 
@@ -186,35 +186,46 @@ class TestClassification:
 class TestExtinctionDiagnostics:
     def test_strict_extinction(self, default_params):
         params = replace(default_params, sigma_tilde=1.2)
-        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 80 * params.period))
+        report = extinction_diagnostics(params, integrate(params, 1.0, 80 * params.period))
         assert report.nonincreasing_ok
         assert report.cap_ok
         assert not report.violations
         assert report.final_radius < 0.05
 
+    def test_growing_solve_flags_both_violations(self, default_params):
+        # a growing sigma_tilde = 0.3 solve judged against sigma_tilde = 1.2
+        params = replace(default_params, sigma_tilde=1.2)
+        traj = integrate(replace(params, sigma_tilde=0.3), 0.5, 5 * params.period)
+        report = extinction_diagnostics(params, traj)
+        assert not report.nonincreasing_ok
+        assert not report.cap_ok
+        assert len(report.violations) == 2
+        assert report.violations[0].startswith("R(kT) increased between periods ")
+        assert report.violations[1] == "within-period growth cap violated in period 0"
+
     def test_requires_extinction_regime(self, default_params):
         with pytest.raises(ValueError):
-            extinction_diagnostics(default_params, integrate(default_params, 1.0, 0.0, 5.0))
+            extinction_diagnostics(default_params, integrate(default_params, 1.0, 5.0))
 
     def test_requires_solve_over_whole_periods(self, default_params):
         params = replace(default_params, sigma_tilde=1.2)
-        for t0, t1 in ((0.5, 3.0), (0.0, 2.5), (0.0, 0.4)):
+        for t1 in (2.5, 0.4):
             with pytest.raises(ValueError, match="whole periods"):
-                extinction_diagnostics(params, integrate(params, 1.0, t0, t1))
+                extinction_diagnostics(params, integrate(params, 1.0, t1))
 
     def test_samples_are_a_fresh_solve(self, default_params):
         # reading never moves a step, so reading one solve on the 32-per-period
         # grid gives the bits of a second solve read on that grid
         params = replace(default_params, sigma_tilde=1.1)
-        traj = integrate(params, 1.0, 0.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 5 + 1))
+        traj = integrate(params, 1.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 5 + 1))
         report = extinction_diagnostics(params, traj)
-        fresh = integrate(params, 1.0, 0.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 32 + 1))
+        fresh = integrate(params, 1.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 32 + 1))
         assert np.array_equal(report.period_radii, fresh.radii[::32])
         assert report.final_radius == fresh.radii[-1]
 
     def test_period_marks_shape(self, default_params):
         params = replace(default_params, sigma_tilde=1.1)
-        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 10 * params.period))
+        report = extinction_diagnostics(params, integrate(params, 1.0, 10 * params.period))
         assert len(report.period_times) == 11
         assert report.period_times[-1] == pytest.approx(10.0)
 
@@ -224,7 +235,7 @@ class TestExtinctionDiagnostics:
         params = ModelParams(
             mu=1.0, sigma_tilde=1.1, gamma=1.0, schedule=ConstantSchedule(period=1.0, value=1.0)
         )
-        report = extinction_diagnostics(params, integrate(params, 1.0, 0.0, 30 * params.period))
+        report = extinction_diagnostics(params, integrate(params, 1.0, 30 * params.period))
         assert report.nonincreasing_ok
         assert report.cap_ok
         assert report.violations == []

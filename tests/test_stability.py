@@ -10,6 +10,7 @@ from tumordyn import (
     ModelParams,
     NoPeriodicSolutionError,
     PiecewiseLinearSchedule,
+    SinusoidSchedule,
     Verdict,
     analyze,
     classify_stability,
@@ -20,6 +21,7 @@ from tumordyn import (
     mode_exponent,
     mu_star,
     p0,
+    periodic,
     pn,
     rhs,
     theta_n,
@@ -87,16 +89,23 @@ class TestModeExponent:
     def test_lambda1_exactly_zero(self, default_orbit):
         assert abs(mode_exponent(default_orbit, 1).lambda_bar) <= 1e-11
 
+    def test_lambda1_zero_on_shot_orbit(self, monkeypatch):
+        # Lambda_1 is P1 - P1 at every node, so it is 0.0 on a shot orbit too
+        schedule = SinusoidSchedule(period=0.7268, mean_level=1.0, amplitude=0.5)
+        params = ModelParams(mu=0.0471, sigma_tilde=0.00815, gamma=1.0, schedule=schedule)
+        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, None, 0))
+        report = analyze(params, n_max=64)
+        assert report.orbit.method == "shooting"
+        assert report.exponents[1].lambda_bar == 0.0
+
     def test_lambda0_positive(self, default_params):
         for mu in (0.1, 1.0, 10.0):
             orbit = find_periodic(replace(default_params, mu=mu))
             assert mode_exponent(orbit, 0).lambda_bar > 0.0
 
-    def test_lambda0_is_radial_contraction_rate(self, default_params, default_orbit):
+    def test_lambda0_is_radial_contraction_rate(self, default_orbit):
         lam0 = mode_exponent(default_orbit, 0).lambda_bar
-        fit = convergence_rate(
-            default_params, 1.5 * default_orbit.R_star0, 150, orbit=default_orbit, burn_in=30
-        )
+        fit = convergence_rate(default_orbit, 1.5 * default_orbit.R_star0, 150, burn_in=30)
         assert fit.delta_hat == pytest.approx(lam0, rel=1e-2)
 
     def test_multiplier_consistent(self, default_orbit):
@@ -194,31 +203,31 @@ class TestEvolveMode:
 
 
 class TestDecayBound:
-    def test_floor_in_stable_regime(self, default_params, default_orbit):
-        theta2 = theta_n(default_orbit, 2)
-        report = mode_decay_bound_check(default_orbit, mu=0.5 * theta2)
+    def test_floor_in_stable_regime(self, default_orbit):
+        # the default orbit is stable at its own mu = 1 (theta_2 ~ 64.05)
+        report = mode_decay_bound_check(default_orbit)
         assert report.ok
         assert not report.nonpositive_modes
         assert report.delta_hat >= 0.95 * report.candidate_floor
 
     def test_per_mode_equals_mode_exponent(self, default_orbit):
-        mu = 0.5 * theta_n(default_orbit, 2)
-        report = mode_decay_bound_check(default_orbit, n_range=range(2, 41), mu=mu)
+        report = mode_decay_bound_check(default_orbit, n_range=range(2, 41))
         assert report.theta2 == theta_n(default_orbit, 2)
         for n, value in report.per_mode:
-            assert value == mode_exponent(default_orbit, n, mu=mu).lambda_bar / (n**3 + 1)
+            assert value == mode_exponent(default_orbit, n).lambda_bar / (n**3 + 1)
 
-    def test_rejects_unstable_regime(self, default_orbit):
-        theta2 = theta_n(default_orbit, 2)
-        with pytest.raises(ValueError):
-            mode_decay_bound_check(default_orbit, mu=2.0 * theta2)
+    def test_rejects_unstable_regime(self, default_params):
+        # at sigma_tilde = 0.5 the orbit's own mu = 1 is above theta_2 ~ 0.426
+        orbit = find_periodic(replace(default_params, sigma_tilde=0.5))
+        with pytest.raises(ValueError, match="requires the stable regime"):
+            mode_decay_bound_check(orbit)
 
 
 class TestAnalyze:
     def test_stable_verdict(self, default_params):
         report = analyze(default_params, n_max=8)
         assert report.verdict is Verdict.LINEARLY_STABLE
-        assert report.mu_star == pytest.approx(64.0499443, rel=1e-6)
+        assert report.thresholds[0] == pytest.approx(64.0499443, rel=1e-6)
         assert len(report.thresholds) == 7
         assert len(report.exponents) == 9
 
@@ -242,7 +251,7 @@ class TestAnalyze:
         # constant supply: the orbit (and hence theta_2) does not move with mu,
         # so re-running exactly at the threshold lands in the marginal band
         base = analyze(constant_params, n_max=2)
-        report = analyze(replace(constant_params, mu=base.mu_star), n_max=2)
+        report = analyze(replace(constant_params, mu=base.thresholds[0]), n_max=2)
         assert report.verdict is Verdict.MARGINAL
 
 
@@ -258,7 +267,7 @@ class TestModeMemo:
                 want = evolve_mode(replace(fresh), n, 0, 0.7, t)
                 assert evolve_mode(orbit, n, 0, 0.7, t) == want
         for n in range(65):
-            assert mode_exponent(orbit, n, mu=0.3) == mode_exponent(replace(fresh), n, mu=0.3)
+            assert mode_exponent(orbit, n) == mode_exponent(replace(fresh), n)
         warm = mode_decay_bound_check(orbit, n_range=range(2, 65))
         assert warm == mode_decay_bound_check(replace(fresh), n_range=range(2, 65))
 
@@ -288,7 +297,7 @@ class TestModeMemo:
         # a collocated orbit's period is one pass over its own nodes
         assert orbit.method == "collocation"
         assert builds == []
-        assert sizes == [orbit.collocation_nodes]
+        assert sizes == [orbit.node_radii.size]
         builds.clear()
         sizes.clear()
         for t in (T, 2.0 * T, 2.37 * T, 3.5 * T):
@@ -297,7 +306,7 @@ class TestModeMemo:
                     evolve_mode(orbit, n, m, 1.0, t)
         for n in range(2, 65):
             theta_n(orbit, n)
-            mode_exponent(orbit, n, mu=0.3)
+            mode_exponent(orbit, n)
         mode_decay_bound_check(orbit, n_range=range(2, 65))
         # no full-period pass, and one pass for every order in each of the two windows
         assert builds == [2.37 * T - 2.0 * T, 0.5 * T]
@@ -310,7 +319,7 @@ class TestModeMemo:
         params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule)
         sizes, builds = self._count_passes(monkeypatch)
         orbit = analyze(params, n_max=8).orbit
-        assert (orbit.method, orbit.collocation_nodes, orbit.node_radii.size) == ("shooting", 0, 0)
+        assert (orbit.method, orbit.node_radii.size) == ("shooting", 0)
         assert builds == [orbit.times[-1]]
         assert sizes == [(orbit.times.size - 1) * 8]
 
@@ -327,13 +336,13 @@ class TestModeMemo:
         copy = replace(default_orbit)
         assert copy._mode_memo == {}
         assert copy.node_radii is default_orbit.node_radii
-        assert copy.node_radii.size == copy.collocation_nodes > 0
+        assert copy.node_radii.size > 0
         with pytest.raises(ValueError):
             replace(default_orbit, _mode_memo={})
 
 
 class TestInputValidation:
-    """Every entry point checks orders, times and mu overrides the same way."""
+    """Every entry point checks orders and times the same way."""
 
     def test_whole_float_orders(self, default_params, default_orbit):
         assert theta_n(default_orbit, 3.0) == theta_n(default_orbit, 3)
@@ -367,13 +376,6 @@ class TestInputValidation:
     def test_bad_time(self, default_orbit, t):
         with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             evolve_mode(default_orbit, 2, 0, 1.0, t)
-
-    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_bad_mu_override(self, default_orbit, mu):
-        with pytest.raises(ValueError, match="mu must be finite and positive"):
-            mode_exponent(default_orbit, 2, mu=mu)
-        with pytest.raises(ValueError, match="mu must be finite and positive"):
-            mode_decay_bound_check(default_orbit, mu=mu)
 
 
 class TestClassifyStability:

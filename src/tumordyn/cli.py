@@ -113,14 +113,15 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """None is an empty cell, a str is written as is, any other cell goes
-    through _fmt; a pair of finite floats takes _fmt's format in one f-string."""
+    through _fmt; a pair of finite floats takes _fmt's format in one
+    %-format, which writes the same digits as its f-string."""
     isfinite = math.isfinite
     lines = [",".join(header)]
     for row in rows:
         if len(row) == 2:
             a, b = row
             if type(a) is float and type(b) is float and isfinite(a) and isfinite(b):
-                lines.append(f"{a:.17g},{b:.17g}")
+                lines.append("%.17g,%.17g" % (a, b))
                 continue
         lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row))
     _write(path, "\n".join(lines) + "\n")

@@ -6,14 +6,18 @@ Ordinary Differential Equations I*, sections II.4-II.6.  The controller is
 scipy's: its initial step selection, safety factor 0.9, step factors in
 [0.2, 10], a minimum step of 10 ulp(t) and no growth right after a rejection.
 
-The state is a Python float, but the five stage sums and the solution and
-error rows are seven ``np.dot`` products on a (7, 1) stage array, with the
-call shapes of scipy's ``rk_step``: numpy's dot may accumulate with fused
-multiply-adds, and plain float sums would round differently.  So the step
-sequence, the evaluation count and every value are those of
-``solve_ivp(method="RK45")``.  The loop binds each product once per solve,
-as the ``dot`` method of a fixed view of the stage array (the same product
-without ``np.dot``'s dispatch), and writes out the five stages.
+The state is a Python float, but four of the five stage sums and the
+solution and error rows are six ``np.dot`` products on a (7, 1) stage array,
+with the call shapes of scipy's ``rk_step``: numpy's dot may accumulate with
+fused multiply-adds, and plain float sums would round differently.  The first
+stage sum has one term, one rounding either way, so it is the plain product
+f * a21.  So the step sequence, the evaluation count and every value are
+those of ``solve_ivp(method="RK45")``.  The loop binds each product once per
+solve, as the ``dot`` method of a fixed view of the stage array (the same
+product without ``np.dot``'s dispatch).  Each product writes its one element
+into a preallocated array, read back through a ``memoryview``, and the stages
+are stored through another: float loads and stores with no numpy item access
+and no new array per product.
 
 Each accepted step forms its dense coefficients K^T P with scipy's (1, 7) by
 (7, 4) product and writes them as one row of a buffer that grows by
@@ -25,6 +29,7 @@ round differently (see ``DenseSolution``).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
@@ -76,21 +81,29 @@ class DenseSolution:
     one is neither that nor a plain sum) and move bits.
     """
 
-    def __init__(self, ts, ys, qs):
+    def __init__(self, ts: list, ys: list, qs):
         self.ts = np.array(ts)
         self.ys = np.array(ys)
+        self._t_list, self._y_list = list(ts), list(ys)  # one float's read
         self._qs = qs  # row i: the dense coefficients of step i
 
     def __call__(self, t):
-        """R at a time (a float) or at an array of times (an array of that shape)."""
-        t = np.asarray(t, dtype=float)
-        last = len(self._qs) - 1
-        if t.ndim == 0:
-            i = min(max(int(np.searchsorted(self.ts, t, side="left")) - 1, 0), last)
-            h = self.ts[i + 1] - self.ts[i]
-            x = float((t - self.ts[i]) / h)
+        """R at a time (a float) or at an array of times (an array of that shape).
+
+        One time is read in float arithmetic around the same one-row ``np.dot``
+        as a group of one, so it gives the bits that time has inside an array.
+        """
+        if type(t) is float:
+            ts = self._t_list
+            i = min(max(bisect.bisect_left(ts, t) - 1, 0), len(ts) - 2)
+            h = ts[i + 1] - ts[i]
+            x = (t - ts[i]) / h
             p = np.array([x, x * x, x * x * x, x * x * x * x])  # cumprod's products
-            return float(h * np.dot(self._qs[i : i + 1], p)[0] + self.ys[i])
+            return h * np.dot(self._qs[i : i + 1], p).item() + self._y_list[i]
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            return self(float(t))
+        last = len(self._qs) - 1
         n = t.size
         if n == 0:
             return np.empty(t.shape)
@@ -143,21 +156,24 @@ def _initial_step(fun, t0, y0, f0, t1, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
+def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float, max_steps=math.inf):
     """Integrate y' = fun(t, y) from t0 to t1 > t0 with a float state, atol > 0.
 
     Returns (dense solution, number of fun calls).  An rtol below 100 eps
     is raised to it, as scipy does.  SolverError if the step size falls
-    below 10 ulp(t).
+    below 10 ulp(t) or t1 is not reached in max_steps accepted steps.
     """
     rtol = max(rtol, _MIN_RTOL)
     K = np.empty((7, 1))
-    k = K[:, 0]
+    k = memoryview(K).cast("B").cast("d")
     # ndarray.dot is np.dot's product without its dispatch
-    dot1, dot2, dot3, dot4, dot5 = (K[:s].T.dot for s in range(1, 6))
-    A1, A2, A3, A4, A5 = (_A[s, :s] for s in range(1, 6))
+    dot2, dot3, dot4, dot5 = (K[:s].T.dot for s in range(2, 6))
+    A21 = float(_A[1, 0])
+    A2, A3, A4, A5 = (_A[s, :s] for s in range(2, 6))
     _, C1, C2, C3, C4, _ = _C
     dot_sol, dot_all = K[:-1].T.dot, K.T.dot
+    S = np.empty(1)  # each product's one element, read as a float through s
+    s, sqrt = memoryview(S), math.sqrt
 
     t, y = t0, y0
     f = fun(t, y)
@@ -166,6 +182,8 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
     ts, ys = [t0], [y0]
     qs = np.empty((64, 4))
     while t < t1:
+        if len(ts) > max_steps:
+            raise SolverError(f"integration failed: more than {max_steps:.0f} steps")
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -179,17 +197,24 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float):
             h = h_abs = t_new - t
 
             k[0] = f
-            k[1] = fun(t + C1 * h, y + dot1(A1).item() * h)
-            k[2] = fun(t + C2 * h, y + dot2(A2).item() * h)
-            k[3] = fun(t + C3 * h, y + dot3(A3).item() * h)
-            k[4] = fun(t + C4 * h, y + dot4(A4).item() * h)
-            k[5] = fun(t + h, y + dot5(A5).item() * h)
-            y_new = y + h * dot_sol(_B).item()
+            k[1] = fun(t + C1 * h, y + f * A21 * h)
+            dot2(A2, out=S)
+            k[2] = fun(t + C2 * h, y + s[0] * h)
+            dot3(A3, out=S)
+            k[3] = fun(t + C3 * h, y + s[0] * h)
+            dot4(A4, out=S)
+            k[4] = fun(t + C4 * h, y + s[0] * h)
+            dot5(A5, out=S)
+            k[5] = fun(t + h, y + s[0] * h)
+            dot_sol(_B, out=S)
+            y_new = y + h * s[0]
             f_new = k[6] = fun(t + h, y_new)
             nfev += 6
 
             scale = atol + max(abs(y), abs(y_new)) * rtol
-            error_norm = _norm(dot_all(_E).item() * h / scale)
+            dot_all(_E, out=S)
+            error = s[0] * h / scale
+            error_norm = sqrt(error * error)  # _norm
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR

@@ -7,12 +7,13 @@ drift, and every form has a closed-form period mean.  Finite parameters and
 positivity are enforced at construction.
 
 A plain number is evaluated without building arrays (the radius ODE calls the
-schedule once per right-hand-side evaluation); each form's ``_value`` is one
-formula written with ufuncs that take floats and arrays alike, so a float
-and an array of the same times give the same bits.  On a float each ufunc
-result is a Python float at once (``_ufunc``), so no numpy-scalar arithmetic
-follows; the IEEE operations are the same.  The ufuncs stay: numpy's SIMD
-sin and cos may round differently from ``math``'s.
+schedule once per right-hand-side evaluation); each form's ``_value`` writes
+its one formula for floats and arrays alike, so a float and an array of the
+same times give the same bits.  A float takes a branch of plain float
+arithmetic in which each ``np.sin``/``np.cos`` result is made a Python float
+at once, so no numpy-scalar arithmetic follows; the IEEE operations are the
+same.  The ufuncs stay: numpy's SIMD sin and cos may round differently from
+``math``'s.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from .errors import ScheduleError
 from .roots import refine_extremum
 
 _SCAN_SAMPLES = 4096
-
-
-def _ufunc(f, x):
-    """f(x) for a numpy ufunc f, as a Python float when x is a float."""
-    y = f(x)
-    return float(y) if isinstance(x, float) else y
 
 
 @dataclass(frozen=True)
@@ -122,9 +117,10 @@ class SinusoidSchedule(NutrientSchedule):
         a = abs(self.amplitude)
         self._set_stats(self.mean_level, self.mean_level + a, self.mean_level - a)
 
-    def _value(self, tau):
+    def _value(self, tau, _sin=np.sin):
         w = 2.0 * math.pi * tau / self.period
-        return self.mean_level + self.amplitude * _ufunc(np.sin, w)
+        s = _sin(w)
+        return self.mean_level + self.amplitude * (float(s) if isinstance(w, float) else s)
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,23 @@ class FourierSchedule(NutrientSchedule):
         object.__setattr__(self, "sin_coeffs", self._finite_tuple("sin_coeffs", self.sin_coeffs))
         self._set_stats(*self._scan_extrema())
 
-    def _value(self, tau):
+    def _value(self, tau, _cos=np.cos, _sin=np.sin):
         w = 2.0 * math.pi * tau / self.period
-        out = self.mean_level if isinstance(w, float) else np.full_like(w, self.mean_level)
+        if isinstance(w, float):
+            out, k = self.mean_level, 0.0
+            for a in self.cos_coeffs:
+                k += 1.0
+                out += a * float(_cos(k * w))
+            k = 0.0
+            for b in self.sin_coeffs:
+                k += 1.0
+                out += b * float(_sin(k * w))
+            return out
+        out = np.full_like(w, self.mean_level)
         for k, a in enumerate(self.cos_coeffs, start=1):
-            out = out + a * _ufunc(np.cos, k * w)
+            out = out + a * _cos(k * w)
         for k, b in enumerate(self.sin_coeffs, start=1):
-            out = out + b * _ufunc(np.sin, k * w)
+            out = out + b * _sin(k * w)
         return out
 
     def _scan_extrema(self):

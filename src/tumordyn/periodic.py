@@ -109,7 +109,8 @@ class PeriodicSolution:
 
     def __call__(self, t):
         """R*(t) for any t, by wrapping into the stored period."""
-        t = np.asarray(t, dtype=float)
+        if type(t) is not float:
+            t = np.asarray(t, dtype=float)
         return self._interp(t % self.period)
 
 

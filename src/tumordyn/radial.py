@@ -25,6 +25,8 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 # extinction_diagnostics samples each period at this many equal steps
 _GRID_PER_PERIOD = 32
+# integrate's step cap per period started; the benchmark's hardest period takes 6,328
+_MAX_STEPS_PER_PERIOD = 100_000
 
 
 @dataclass(frozen=True)
@@ -56,14 +58,21 @@ class Classification(enum.Enum):
 
 def _right_side(params: ModelParams):
     """The right side of float (t, R), bound once per solve to the float
-    paths of Phi and P0: 0.0 at R <= 0, p0's ValueError at R = nan, inf."""
+    paths of Phi and P0: 0.0 at R <= 0, p0's ValueError at R = nan, inf.
+
+    Phi at the latest t is kept, as an RK45 attempt's last two stages share
+    t + h; Phi depends on t alone, so a kept value has the same bits."""
     mu, s3, T = params.mu, params.sigma_tilde / 3.0, params.period
     phi, P0 = params.schedule._value, p0_float
+    t_kept = phi_kept = math.nan
 
     def f(t, R):
+        nonlocal t_kept, phi_kept
         if R <= 0.0:
             return 0.0
-        return mu * R * (phi(t % T) * P0(R) - s3)
+        if t != t_kept:
+            t_kept, phi_kept = t, phi(t % T)
+        return mu * R * (phi_kept * P0(R) - s3)
 
     return f
 
@@ -77,7 +86,7 @@ def rhs(params: ModelParams, t: float, R: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Dense ODE solution R(t) on [t0, t1] with its interpolant.
+    """Dense ODE solution R(t) on [0, t1] with its interpolant.
 
     ``times``/``radii`` are the accepted step ends, or after ``resample``
     the requested times; ``steps`` counts accepted steps either way.
@@ -85,7 +94,6 @@ class Trajectory:
 
     times: np.ndarray
     radii: np.ndarray
-    t0: float
     t1: float
     steps: int
     nfev: int
@@ -94,18 +102,18 @@ class Trajectory:
     def __call__(self, t):
         """R at a time (a float) or at an array of times (an array of that shape)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t0 - 1e-12) or np.any(t > self.t1 + 1e-12):
+        if np.any(t < -1e-12) or np.any(t > self.t1 + 1e-12):
             raise ValueError("evaluation time outside the integrated span")
-        return self._interp(np.clip(t, self.t0, self.t1))
+        return self._interp(np.clip(t, 0.0, self.t1))
 
     def resample(self, t_eval) -> Trajectory:
         """This solve read at the strictly increasing 1-D times t_eval within
-        [t0, t1].  Where a solve is read never moves a step, so these are
+        [0, t1].  Where a solve is read never moves a step, so these are
         the values of a solve that stops at each of those times."""
         t_eval = np.array(t_eval, dtype=float)
-        inside = t_eval.ndim == 1 and np.all((t_eval >= self.t0) & (t_eval <= self.t1))
+        inside = t_eval.ndim == 1 and np.all((t_eval >= 0.0) & (t_eval <= self.t1))
         if not (inside and np.all(np.diff(t_eval) > 0.0)):
-            raise ValueError("t_eval must be a strictly increasing 1-D array of times within [t0, t1]")
+            raise ValueError("t_eval must be a strictly increasing 1-D array of times within [0, t1]")
         return replace(self, times=t_eval, radii=_require_positive(self(t_eval)))
 
 
@@ -127,23 +135,26 @@ def integrate(
 
     Positivity is verified on the accepted nodes; the right side treats
     non-positive trial radii as stationary so the integrator cannot step
-    through zero.  A radius that overflows is a SolverError.
+    through zero.  A radius that overflows, or a solve that needs more than
+    _MAX_STEPS_PER_PERIOD steps per period started, is a SolverError.
     """
     if not (R0 > 0.0 and math.isfinite(R0)):
         raise ValueError(f"initial radius must be positive and finite, got {R0}")
-    if not t1 > 0.0:
-        raise ValueError(f"t1 must be positive, got {t1}")
+    if not (t1 > 0.0 and math.isfinite(t1)):
+        raise ValueError(f"t1 must be positive and finite, got {t1}")
     if not atol > 0.0:
         raise ValueError(f"atol must be positive, got {atol}")
+    max_steps = _MAX_STEPS_PER_PERIOD * -(-t1 // params.period)  # ceil, inf past the floats
     try:
         with np.errstate(over="ignore"):  # an overflow ends the solve below
-            interp, nfev = dopri.solve(_right_side(params), 0.0, float(R0), float(t1), rtol, atol)
+            interp, nfev = dopri.solve(
+                _right_side(params), 0.0, float(R0), float(t1), rtol, atol, max_steps
+            )
     except ValueError as exc:  # P0 of an infinite radius
         raise SolverError("integration failed: the radius left the floating-point range") from exc
     return Trajectory(
         times=interp.ts,
         radii=_require_positive(interp.ys),
-        t0=0.0,
         t1=t1,
         steps=len(interp.ts) - 1,
         nfev=nfev,
@@ -183,7 +194,7 @@ def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionR
         raise ValueError("extinction diagnostics require sigma_tilde >= mean(Phi)")
     T = params.period
     n_periods = round(traj.t1 / T)
-    if traj.t0 != 0.0 or n_periods < 1 or traj.t1 != n_periods * T:
+    if n_periods < 1 or traj.t1 != n_periods * T:
         raise ValueError("extinction diagnostics need a solve from t = 0 over whole periods")
 
     t_grid = np.linspace(0.0, n_periods * T, n_periods * _GRID_PER_PERIOD + 1)

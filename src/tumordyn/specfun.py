@@ -146,12 +146,12 @@ def _p0_closed(r, tanh_r):
     return 1.0 / (tanh_r * r) - 1.0 / (r * r)
 
 
-def p0_float(r: float) -> float:
+def p0_float(r: float, _tanh=np.tanh) -> float:
     """``p0``'s float branch, float arithmetic only (the radius ODE binds it);
     ValueError unless r is finite and positive."""
-    if not (math.isfinite(r) and r > 0.0):
+    if not 0.0 < r < math.inf:
         raise ValueError("argument r must be finite and positive")
-    return _ratio_series(0.5, r) / r if r < 0.3 else _p0_closed(r, float(np.tanh(r)))
+    return _ratio_series(0.5, r) / r if r < 0.3 else _p0_closed(r, float(_tanh(r)))
 
 
 def p0(r):

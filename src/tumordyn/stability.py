@@ -18,7 +18,7 @@ integrands: Trefethen & Weideman, SIAM Review 56, 2014); a shot orbit's
 period and every fractional window [0, tau) by the composite Gauss-Legendre
 nodes of ``gauss_nodes``.  Node terms and integrals are memoized on the
 orbit: the whole period, each order once, and the latest window that
-``evolve_mode`` asked for, whose first pass takes every order the period holds.
+``evolve_mode`` asked for, whose first pass takes held orders n to max(2n, n + 64).
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
 
 def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[float, float]:
     """The same two integrals of order n over [0, tau), on 256 Gauss panels.
-    A missing order is reduced in one pass with every higher order the period
-    memo holds, so a study's later orders hit.  Only the latest window is
-    kept, so the memo stays bounded."""
+    A missing order is reduced in one pass with the higher orders the period
+    memo holds, up to max(2n, n + 64), so a study's later orders hit and a
+    large period memo costs no more.  Only the latest window is kept, so the
+    memo stays bounded."""
     memo = orbit._mode_memo
     kept, terms = memo.get("window", (None, None))
     if kept != tau:
@@ -139,7 +140,8 @@ def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[floa
         terms = _mode_terms(orbit, tq, wq, orbit(tq))
         memo["window"] = (tau, terms)
     if n not in terms.prolif:
-        terms.integrals(range(n, max(n, *memo["period"].prolif) + 1))
+        top = min(max(n, *memo["period"].prolif), max(2 * n, n + 64))
+        terms.integrals(range(n, top + 1))
     return terms.tension, terms.prolif[n]
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -79,6 +80,20 @@ class TestSimulate:
         assert run("simulate", cfg, tmp_path / "out") == 0
         assert "extinction_check" in json.loads((tmp_path / "out" / "summary.json").read_text())
         assert calls == [1.0]
+
+    @pytest.mark.parametrize("params, schedule", [({"mu": 1e308}, {}), ({}, {"period": 1e300})])
+    def test_stalled_solve_one_line_exit_1(self, tmp_path, capsys, params, schedule):
+        """A solve that would crawl at its minimum step fails at the step cap."""
+        cfg = json.loads(json.dumps(BASE))
+        cfg["params"].update(params)
+        cfg["schedule"].update(schedule)
+        cfg["simulate"] = {"R0": 1.0, "n_periods": 1, "samples_per_period": 2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        start = time.perf_counter()
+        assert run("simulate", path, tmp_path / "out") == 1
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err == "error: integration failed: more than 100000 steps\n"
 
 
 class TestPeriodic:
@@ -255,6 +270,16 @@ class TestSweep:
         rows = [r.split(",") for r in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
         assert [r[2] for r in rows] == ["LinearlyUnstable", "Error"]
         assert rows[1][-1] == "integration failed: the radius left the floating-point range"
+
+    def test_stalled_row_keeps_the_others(self, tmp_path, capsys):
+        # at mu = 1e308, sigma_tilde = 0.9 the radius stays finite but the
+        # step size sits at its floor: the step cap ends the row's solve
+        cfg = write_config(tmp_path, extra={"sweep": {"mu_grid": [1.0, 1e308]}})
+        assert run("sweep", cfg, tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        rows = [r.split(",") for r in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["LinearlyStable", "Error"]
+        assert rows[1][-1] == "integration failed: more than 100000 steps"
 
     def test_workers_write_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path, extra=self.SWEEP)

@@ -175,6 +175,21 @@ def test_float_path_bit_equal_to_array_path(schedule):
     assert schedule(3) == schedule(3.0)
 
 
+@pytest.mark.parametrize("schedule", FORMS, ids=lambda s: type(s).__name__)
+def test_float_float64_and_one_element_array_agree(schedule):
+    """Phi at one time has the same bits as a Python float, an np.float64 and
+    a 1-element array, through __call__ and through _value's float branch."""
+    T = schedule.period
+    for x in np.linspace(0.0, 3.0 * T, 301).tolist() + list(getattr(schedule, "knot_times", ())):
+        want = np.asarray(schedule(np.array([x])), dtype=np.float64)[0].view(np.int64)
+        for one in (x, np.float64(x)):
+            assert np.float64(schedule(one)).view(np.int64) == want, x
+        tau = x % T
+        for one in (tau, np.float64(tau), np.array([tau])):
+            got = np.asarray(schedule._value(one), dtype=np.float64).ravel()[0]
+            assert got.view(np.int64) == np.float64(schedule(tau)).view(np.int64), tau
+
+
 class TestStatistics:
     """mean, maximum and minimum are set at construction, outside __init__ and ==."""
 

@@ -80,6 +80,19 @@ class TestFindPeriodic:
         assert default_orbit(0.25) == pytest.approx(default_orbit(7.25), rel=1e-10)
         assert default_orbit(0.0) == pytest.approx(default_orbit.R_star0, rel=1e-12)
 
+    def test_float_read_bit_equal_to_array_read(self, default_orbit):
+        """R*(t) for one time, a float, an np.float64 or a 0-d array, has the
+        bits of that time inside an array: at step ends, mid-step and past T."""
+        ends = default_orbit.times
+        period = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])])
+        t = np.concatenate([period, period + 1.0, period + 7.0, [0.25, 7.25, 1e3 + 0.1]])
+        bulk = default_orbit(t)
+        for x, want in zip(t.tolist(), bulk.tolist()):
+            for one in (x, np.float64(x), np.array(x)):
+                got = default_orbit(one)
+                assert type(got) is float
+                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), x
+
     def test_map_evaluations(self, default_params, monkeypatch):
         calls = []
         inner = periodic.poincare_map

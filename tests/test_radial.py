@@ -97,6 +97,13 @@ class TestRhs:
             for R in (-0.0, 0.0, -1e-300, -math.inf):
                 assert _bits(f(t, R)) == _bits(0.0)
             assert _bits(rhs(params, t, -0.0)) == _bits(rhs(params, t, 0.0)) == _bits(0.0)
+        # Phi is kept for the latest t: t1, t2, t1 with R changing at each
+        # call misses, misses and misses again; a repeated t hits
+        for t1, t2 in zip(times, times[1:]):
+            for t, R in zip((t1, t2, t1, t1), radii[1:]):
+                phi = float(schedule(np.array([t]))[0])
+                want = params.mu * R * (phi * p0_arr[R] - params.sigma_tilde / 3.0)
+                assert _bits(f(t, R)) == _bits(want), (t, R)
         for R in (math.nan, math.inf):
             for right_side in (f, lambda t, R: rhs(params, t, R)):
                 with pytest.raises(ValueError, match="argument r must be finite and positive"):
@@ -159,6 +166,31 @@ class TestIntegrate:
     def test_overflowing_radius_is_solver_error(self, default_params):
         with pytest.raises(SolverError, match="left the floating-point range"):
             integrate(default_params, 1e308, 1.0)
+
+    def test_step_cap_is_solver_error(self, default_params, monkeypatch):
+        """A solve may take _MAX_STEPS_PER_PERIOD accepted steps per period
+        started, and fails with a SolverError past that."""
+        steps = integrate(default_params, 1.0, 2.0).steps
+        monkeypatch.setattr(radial, "_MAX_STEPS_PER_PERIOD", steps / 2)
+        assert integrate(default_params, 1.0, 2.0).steps == steps
+        monkeypatch.setattr(radial, "_MAX_STEPS_PER_PERIOD", steps // 2 - 1)
+        with pytest.raises(SolverError, match=f"more than {2 * (steps // 2 - 1)} steps"):
+            integrate(default_params, 1.0, 2.0)
+
+    def test_float_read_bit_equal_to_array_read(self, default_params):
+        """One time read as a float, an np.float64 or a 0-d array gives the
+        bits it has inside an array, through the dense solution and the
+        trajectory alike: at step ends, mid-step and out to the span's ends."""
+        traj = integrate(default_params, 1.0, 3.0)
+        ends = traj.times
+        t = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), [1e-13, 3.0 + 1e-13]])
+        t = t[t <= 3.0 + 1e-12]
+        for read in (traj._interp, traj):
+            bulk = read(t)
+            for x, want in zip(t.tolist(), bulk.tolist()):
+                for one in (x, np.float64(x), np.array(x)):
+                    got = read(one)
+                    assert type(got) is float and _bits(got) == _bits(want), (read, x)
 
     def test_out_of_span_evaluation(self, default_params):
         traj = integrate(default_params, 1.0, 1.0)

@@ -312,6 +312,13 @@ class TestModeMemo:
         assert builds == [2.37 * T - 2.0 * T, 0.5 * T]
         assert sizes == [256 * 8] * 2
 
+    def test_window_batch_bounded(self, default_params):
+        """A window's first miss at order n reduces orders n to at most
+        max(2n, n + 64), however many the period memo holds."""
+        orbit = analyze(default_params, n_max=2000).orbit
+        evolve_mode(orbit, 2, 0, 1.0, 0.5)
+        assert len(orbit._mode_memo["window"][1].prolif) <= 67
+
     def test_shot_orbit_keeps_gauss_rule(self, monkeypatch):
         schedule = PiecewiseLinearSchedule(
             period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)

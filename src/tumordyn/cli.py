@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,6 +47,12 @@ _ROWS_LIMIT = 1_000_000
 
 class ConfigError(ValueError):
     pass
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' pool, imported by a parallel sweep only."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 class NonFiniteError(TumordynError, ValueError):
@@ -279,6 +284,11 @@ def cmd_stability(config: RunConfig, out: Path) -> None:
         raise ConfigError(f"stability.self_consistent must be true or false, got {self_consistent!r}")
     params = config.params
     report = stability.analyze(params, n_max=n_max)
+    for e in report.exponents:
+        if math.isinf(e.floquet_multiplier):
+            x = -e.lambda_bar * params.period
+            raise TumordynError(f"Floquet multiplier of mode {e.mode} overflows: -Lambda_n T = {x:.6g} "
+                                "is past the float range")
     exponents = [
         {"n": e.mode, "lambda_bar": e.lambda_bar, "multiplier": e.floquet_multiplier}
         for e in report.exponents

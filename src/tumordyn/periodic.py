@@ -22,7 +22,7 @@ import numpy as np
 from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
 from .nutrient import ConstantSchedule, FourierSchedule, SinusoidSchedule
-from .radial import ModelParams, Trajectory, integrate, rhs
+from .radial import ModelParams, Trajectory, _require_positive, integrate, rhs
 from .roots import find_root, refine_extremum
 from .specfun import P0_INVERSE_FTOL, p0, p0_inverse, pn_derivative
 
@@ -30,6 +30,7 @@ POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_TOL = 1e-11
 DEFAULT_SEGMENTS = 1024
+_RADIUS_MEMO = 16  # float times at which an orbit keeps R*(t)
 RATE_BURN_IN = 10  # periods the rate fit leaves out by default
 RATE_FIT_MARKS = 4  # period marks it fits at the least
 # collocation: node counts in turn, Newton steps per count, the step size
@@ -88,17 +89,15 @@ class PeriodicSolution:
     found; ``node_radii`` are the accepted exp(u_j) at t_j = j T / M (M = 0
     on shooting), and node_radii[0] is R_star0 up to a Newton step
     |F(r) - r| / (1 - F').  ``bracket(params)`` encloses R_star0.  The
-    mode-integral memo of ``stability`` is not a constructor argument, so
-    ``dataclasses.replace`` starts it empty.
+    samples ``times`` (DEFAULT_SEGMENTS equal steps of [0, T]), ``radii``
+    (checked positive), R_min and R_max are read from the dense period when
+    first asked for and kept; they and the memos (R*(t), ``stability``'s
+    mode integrals) are not init fields, so ``dataclasses.replace`` starts empty.
     """
 
     params: ModelParams
     period: float
     R_star0: float
-    times: np.ndarray
-    radii: np.ndarray
-    R_min: float
-    R_max: float
     residual: float
     _interp: DenseSolution = field(repr=False)
     method: str = field(compare=False)
@@ -106,12 +105,21 @@ class PeriodicSolution:
     newton_steps: int = field(compare=False)
     node_radii: np.ndarray = field(compare=False, repr=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _radius_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
-        """R*(t) for any t, by wrapping into the stored period."""
+        """R*(t) for any t, wrapped into the stored period; the first _RADIUS_MEMO float reads are kept."""
         if type(t) is not float:
-            t = np.asarray(t, dtype=float)
-        return self._interp(t % self.period)
+            return self._interp(np.asarray(t, dtype=float) % self.period)
+        if t not in self._radius_memo and len(self._radius_memo) < _RADIUS_MEMO:
+            self._radius_memo[t] = self._interp(t % self.period)
+        return self._radius_memo.get(t) or self._interp(t % self.period)
+
+    times = functools.cached_property(lambda self: np.linspace(0.0, self.period, DEFAULT_SEGMENTS + 1))
+    radii = functools.cached_property(lambda self: _require_positive(self._interp(self.times)))
+    _extrema = functools.cached_property(lambda self: _refine_extrema(self.params, self))
+    R_min = property(lambda self: self._extrema[0])
+    R_max = property(lambda self: self._extrema[1])
 
 
 def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolution:
@@ -158,24 +166,21 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
     # the accepted root is almost always the last map evaluation, so this is
-    # a memo hit; t_eval never moves a step, so the samples are a fresh solve's
-    t_eval = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
-    traj = _one_period(params, r).resample(t_eval)
-    residual = abs(float(traj.radii[-1]) - r)
+    # a memo hit.  The dense read evaluates each step's points as one group,
+    # so the grid points in the last step give R(T) the full grid's bits
+    interp = _one_period(params, r)._interp
+    grid = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
+    last_step = grid[grid > interp.ts[-2]] if len(interp.ts) > 2 else grid
+    residual = abs(float(interp(last_step)[-1]) - r)
     if residual > tol * min(1.0, r):
         raise SolverError(f"fixed-point residual {residual:.3e} exceeds tolerance {tol * min(1.0, r):.3e}")
-    r_min, r_max = _refine_extrema(params, traj)
 
     return PeriodicSolution(
         params=params,
         period=params.period,
         R_star0=r,
-        times=traj.times,
-        radii=traj.radii,
-        R_min=r_min,
-        R_max=r_max,
         residual=residual,
-        _interp=traj._interp,
+        _interp=interp,
         method=method,
         map_evals=maps,
         newton_steps=steps,
@@ -266,7 +271,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 
 
 def _refine_extrema(params, traj):
-    """R_min and R_max, refined where dR/dt changes sign next to the extreme samples."""
+    """R_min and R_max of a solve's or an orbit's samples, refined where dR/dt changes sign next to them."""
 
     radius = traj._interp
 

@@ -16,9 +16,9 @@ The integrand is evaluated in one place, ``_mode_terms`` with its
 trapezoid rule on its collocation nodes (geometric for smooth periodic
 integrands: Trefethen & Weideman, SIAM Review 56, 2014); a shot orbit's
 period and every fractional window [0, tau) by the composite Gauss-Legendre
-nodes of ``gauss_nodes``.  Node terms and integrals are memoized on the
-orbit: the whole period, each order once, and the latest window that
-``evolve_mode`` asked for, whose first pass takes held orders n to max(2n, n + 64).
+nodes of ``gauss_nodes``, a window's on the dense solve's steps.  Node terms
+and integrals are memoized on the orbit: the whole period, each order once,
+and the latest window ``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .specfun import _check_mode, _check_order, _ratios, pn
 DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
 _QUAD_NODES_PER_SEGMENT = 8
+_BLOCK_ROWS = 64  # orders reduced by one row-wise sum
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
 
 
@@ -49,6 +50,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ModeExponent:
+    """Lambda_n and exp(-Lambda_n T), which is math.inf past the float range."""
+
     mode: int
     lambda_bar: float
     floquet_multiplier: float
@@ -71,23 +74,30 @@ class _ModeTerms:
 
     weighted = w * Phi * R*^2 * P0(R*) and p1 = P1(R*) at the nodes (radii
     R*); tension = Int 1/R*^3; prolif[n] = Int Phi * R*^2 * P0 * (P1 - Pn).
+    prolif[1] is 0 exactly, as P1 - P1 is, whatever depth a pass starts from.
     """
 
     radii: np.ndarray
     weighted: np.ndarray
     p1: np.ndarray
     tension: float
-    prolif: dict[int, float] = field(default_factory=dict)
+    prolif: dict[int, float] = field(default_factory=lambda: {1: 0.0})
 
     def integrals(self, ns) -> list[float]:
-        """prolif[n] for each n of ns.  Missing orders are reduced one by one
-        along a single backward pass, with no order table."""
+        """prolif[n] for each n of ns.  Missing orders come from one backward
+        pass, _BLOCK_ROWS rows to a row-wise sum (each row its own sum's bits)."""
         missing = [n for n in ns if n not in self.prolif]
         if missing:
             hi, lo = max(missing), min(missing)
+            block = np.empty((min(hi - lo + 1, _BLOCK_ROWS), self.radii.size))
             for n, pnq in zip(range(hi, lo - 1, -1), _ratios(hi, lo, self.radii)):
-                if n not in self.prolif:
-                    self.prolif[n] = float(np.sum(self.weighted * (self.p1 - pnq)))
+                k = (hi - n) % len(block)  # row k holds order n, row 0 order n + k
+                block[k] = pnq
+                if k == len(block) - 1 or n == lo:
+                    rows = block[: k + 1]
+                    np.multiply(self.weighted, np.subtract(self.p1, rows, out=rows), out=rows)
+                    for m, total in zip(range(n + k, n - 1, -1), rows.sum(axis=1).tolist()):
+                        self.prolif.setdefault(m, total)
         return [self.prolif[n] for n in ns]
 
 
@@ -128,7 +138,8 @@ def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
 
 
 def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[float, float]:
-    """The same two integrals of order n over [0, tau), on 256 Gauss panels.
+    """The same two integrals of order n over [0, tau), one Gauss panel per
+    step of the dense solve, so no panel straddles a step end of R*'s quartics.
     A missing order is reduced in one pass with the higher orders the period
     memo holds, up to max(2n, n + 64), so a study's later orders hit and a
     large period memo costs no more.  Only the latest window is kept, so the
@@ -136,7 +147,8 @@ def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[floa
     memo = orbit._mode_memo
     kept, terms = memo.get("window", (None, None))
     if kept != tau:
-        tq, wq = gauss_nodes(np.linspace(0.0, tau, 257))
+        ends = orbit._interp.ts  # ends[0] = 0.0
+        tq, wq = gauss_nodes(np.append(ends[: np.searchsorted(ends, tau)], tau))
         terms = _mode_terms(orbit, tq, wq, orbit(tq))
         memo["window"] = (tau, terms)
     if n not in terms.prolif:
@@ -154,10 +166,17 @@ def _threshold(params: ModelParams, n: int, tension: float, prolif: float) -> fl
     return _curvature_part(params, n, tension) / prolif
 
 
+def _lambda(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> float:
+    return (_curvature_part(orbit.params, n, tension) - orbit.params.mu * prolif) / orbit.period
+
+
 def _exponent(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> ModeExponent:
-    T = orbit.period
-    lam = (_curvature_part(orbit.params, n, tension) - orbit.params.mu * prolif) / T
-    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=math.exp(-lam * T))
+    lam = _lambda(orbit, n, tension, prolif)
+    try:
+        multiplier = math.exp(-lam * orbit.period)
+    except OverflowError:
+        multiplier = math.inf
+    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=multiplier)
 
 
 def theta_n(orbit: PeriodicSolution, n: int) -> float:
@@ -212,7 +231,7 @@ def evolve_mode(
 ) -> float:
     """Amplitude rho_nm(t) of surface mode (n, m); independent of m.
 
-    Whole periods use the exponent Lambda_n memoized on the orbit; the
+    Whole periods use Lambda_n from the integrals memoized on the orbit; the
     fractional remainder is integrated by composite Gauss-Legendre on the
     dense orbit, with the latest remainder's node terms memoized too.
     """
@@ -222,8 +241,8 @@ def evolve_mode(
     T = orbit.period
     k = int(math.floor(t / T))
     tau = t - k * T
-    lam = mode_exponent(orbit, n).lambda_bar
-    integral = k * lam * T
+    tension, (prolif,) = _period_integrals(orbit, [n])
+    integral = k * _lambda(orbit, n, tension, prolif) * T
     if tau > 0.0:
         params = orbit.params
         tension, prolif = _window_integrals(orbit, tau, n)

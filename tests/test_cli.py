@@ -190,6 +190,30 @@ class TestStability:
         assert run("stability", cfg, out) == 0
         assert len((out / "modes.csv").read_text().splitlines()) == 1 + 101
 
+    def test_multiplier_overflow_one_line_exit_1(self, tmp_path, capsys):
+        # -Lambda_5 T = 842 puts mode 5's Floquet multiplier past the float range
+        cfg = write_config(
+            tmp_path,
+            extra={
+                "schedule": {"form": "constant", "period": 5.286, "value": 1.8587749795474482},
+                "stability": {"n_max": 8},
+                "sweep": {"mu_grid": [338.9]},
+            },
+            mu=338.9, sigma_tilde=0.7578, gamma=0.588,
+        )
+        assert run("stability", cfg, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "error: Floquet multiplier of mode 5 overflows: "
+            "-Lambda_n T = 842.354 is past the float range\n"
+        )
+        assert not (tmp_path / "out").exists()
+        # a sweep row reads only Lambda_2, which the full analysis has too
+        assert run("sweep", cfg, tmp_path / "sweep") == 0
+        row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+        report = stability.analyze(cli.load_config(cfg).params, n_max=8)
+        assert row[2] == report.verdict.value == "LinearlyUnstable"
+        assert float(row[5]) == report.exponents[2].lambda_bar
+
     def test_n_max_limit_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra={"stability": {"n_max": 10_001}})
         assert run("stability", cfg, tmp_path / "out") == 2

@@ -43,6 +43,20 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only a parallel sweep needs concurrent.futures and multiprocessing."""
+    code = "import sys, tumordyn.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def _calls_and_defs(path):
     """(called names, defined function names) in one module."""
     called, defined = set(), set()

@@ -25,7 +25,8 @@ from tumordyn import (
     periodic,
     poincare_map,
 )
-from tumordyn.stability import gauss_nodes, mode_exponent
+from tumordyn import cli, dopri, radial
+from tumordyn.stability import gauss_nodes, mode_exponent, mu_star
 
 
 class TestBracket:
@@ -325,6 +326,39 @@ class TestCollocation:
         flags = {f.name: f.compare for f in dataclasses.fields(periodic.PeriodicSolution)}
         assert names <= set(flags)
         assert not any(flags[name] for name in names)
+
+
+class TestLazySamples:
+    """times, radii, R_min and R_max are read from the dense period when
+    first asked for, with the bits of an eager resample of the same solve."""
+
+    @pytest.mark.parametrize("params, method, maps", [
+        (ModelParams(mu=1.0, sigma_tilde=0.9, gamma=1.0, schedule=SINUSOID), "collocation", 1),
+        (ModelParams(mu=3.16, sigma_tilde=1e-3, gamma=1.0, schedule=SINUSOID), "collocation", 2),
+        (ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=PIECEWISE), "shooting", None),
+    ], ids=["collocated", "near-miss", "shot"])
+    def test_bit_equal_to_eager_resample(self, params, method, maps):
+        orbit = find_periodic(params)
+        assert orbit.method == method and maps in (None, orbit.map_evals)
+        assert not {"times", "radii", "_extrema"} & vars(orbit).keys()
+        T = params.period
+        eager = integrate(
+            params, orbit.R_star0, T, rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL,
+        ).resample(np.linspace(0.0, T, periodic.DEFAULT_SEGMENTS + 1))
+        assert orbit.residual == abs(float(eager.radii[-1]) - orbit.R_star0)
+        assert np.array_equal(orbit.times, eager.times)
+        assert np.array_equal(orbit.radii.view(np.int64), eager.radii.view(np.int64))
+        assert (orbit.R_min, orbit.R_max) == periodic._refine_extrema(params, eager)
+
+    def test_sweep_row_and_mu_star_read_no_samples(self, monkeypatch):
+        sizes = []
+        resample, dense = radial.Trajectory.resample, dopri.DenseSolution.__call__
+        monkeypatch.setattr(radial.Trajectory, "resample", lambda self, t: sizes.append(len(t)) or resample(self, t))
+        monkeypatch.setattr(dopri.DenseSolution, "__call__", lambda self, t: sizes.append(np.size(t)) or dense(self, t))
+        params = ModelParams(mu=1.0, sigma_tilde=0.3, gamma=1.0, schedule=SINUSOID)
+        assert cli._sweep_row((params, 1.0, 0.3))[2] == "LinearlyUnstable"
+        assert mu_star(params) > 0.0
+        assert sizes and periodic.DEFAULT_SEGMENTS + 1 not in sizes
 
 
 class TestConvergenceRate:

@@ -76,6 +76,24 @@ class TestP0FloatPath:
             p0(np.array([1.0, bad]))
 
 
+class TestPnFloatPath:
+    """A Python float runs pn's recurrence in float arithmetic; it must match
+    the one-element array path bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 64])
+    def test_bit_equal_to_one_element_array(self, n):
+        grid = np.logspace(-3, math.log10(2e4), 1440)
+        scalar = [pn(n, r) for r in grid.tolist()]
+        assert all(type(x) is float for x in scalar)
+        arrays = [pn(n, np.array([r]))[0] for r in grid]
+        assert np.array_equal(_bits(scalar), _bits(arrays))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_float_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            pn(2, bad)
+
+
 class TestPn:
     def test_matches_p0(self):
         for r in (0.1, 1.0, 5.0, 20.0):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from tumordyn import (
+    ConstantSchedule,
     ModelParams,
     NoPeriodicSolutionError,
     PiecewiseLinearSchedule,
@@ -97,6 +98,23 @@ class TestModeExponent:
         report = analyze(params, n_max=64)
         assert report.orbit.method == "shooting"
         assert report.exponents[1].lambda_bar == 0.0
+
+    @pytest.mark.parametrize("n_max", [2, 8, 32, 64])
+    def test_lambda1_zero_on_large_orbit(self, n_max):
+        # at R* ~ 1.5e4, P1 from pn(1, .) and the n = 1 row of a pass started
+        # at n_max's depth can differ in a last bit; P1 - P1 is still 0
+        schedule = SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5)
+        params = ModelParams(mu=100.0, sigma_tilde=2e-4, gamma=1.0, schedule=schedule)
+        assert analyze(params, n_max=n_max).exponents[1].lambda_bar == 0.0
+
+    def test_multiplier_past_float_range_is_inf(self):
+        # -Lambda_5 T = 842 > 709.78: exp overflows from mode 5 on
+        schedule = ConstantSchedule(period=5.286, value=1.8587749795474482)
+        params = ModelParams(mu=338.9, sigma_tilde=0.7578, gamma=0.588, schedule=schedule)
+        report = analyze(params, n_max=8)
+        assert all(math.isfinite(e.lambda_bar) for e in report.exponents)
+        assert [e.mode for e in report.exponents if math.isinf(e.floquet_multiplier)] == [5, 6, 7, 8]
+        assert all(e.floquet_multiplier == math.exp(-e.lambda_bar * 5.286) for e in report.exponents[:5])
 
     def test_lambda0_positive(self, default_params):
         for mu in (0.1, 1.0, 10.0):
@@ -308,9 +326,12 @@ class TestModeMemo:
             theta_n(orbit, n)
             mode_exponent(orbit, n)
         mode_decay_bound_check(orbit, n_range=range(2, 65))
-        # no full-period pass, and one pass for every order in each of the two windows
+        # no full-period pass, and one pass for every order in each of the two
+        # windows, on 8 Gauss nodes per step of the dense solve inside it
         assert builds == [2.37 * T - 2.0 * T, 0.5 * T]
-        assert sizes == [256 * 8] * 2
+        ends = orbit._interp.ts
+        panels = [np.count_nonzero((ends > 0.0) & (ends < tau)) + 1 for tau in builds]
+        assert sizes == [8 * p for p in panels] == [232, 312]
 
     def test_window_batch_bounded(self, default_params):
         """A window's first miss at order n reduces orders n to at most
@@ -318,6 +339,18 @@ class TestModeMemo:
         orbit = analyze(default_params, n_max=2000).orbit
         evolve_mode(orbit, 2, 0, 1.0, 0.5)
         assert len(orbit._mode_memo["window"][1].prolif) <= 67
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (2, 64), (0, 64), (0, 65), (3, 200)])
+    def test_block_sums_equal_per_order_sums(self, default_orbit, lo, hi):
+        """Orders reduced 64 rows at a time have the bits of one sum per order."""
+        tq, wq = stability.gauss_nodes(np.linspace(0.0, 0.37, 30))
+        rq = default_orbit(tq)
+        terms = stability._mode_terms(default_orbit, tq, wq, rq)
+        got = terms.integrals(range(lo, hi + 1))
+        rows = stability._ratios(hi, lo, rq)
+        want = {n: float(np.sum(terms.weighted * (terms.p1 - p))) for n, p in zip(range(hi, lo - 1, -1), rows)}
+        want = [0.0 if n == 1 else want[n] for n in range(lo, hi + 1)]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
     def test_shot_orbit_keeps_gauss_rule(self, monkeypatch):
         schedule = PiecewiseLinearSchedule(

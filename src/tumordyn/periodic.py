@@ -308,6 +308,8 @@ def convergence_rate(
     [min(R0/R*(0),1)*R_min, max(R0/R*(0),1)*R_max].  The first burn_in
     periods are excluded from the fit: the approach is exponential only
     asymptotically, and the early nonlinear transient bends the log plot.
+    So is every mark from the first at or below the rounding floor
+    1e-12 R*(0) on, as the difference there is noise.
     """
     params, R_star0 = orbit.params, orbit.R_star0
     if abs(R0 - R_star0) <= 1e-9 * R_star0:
@@ -326,12 +328,14 @@ def convergence_rate(
     diffs = traj.resample(t_marks).radii - R_star0
     one_sided = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
-    usable = np.abs(diffs) > 1e-12 * R_star0
-    usable[: burn_in] = False
-    ks = np.nonzero(usable)[0]
-    if len(ks) < RATE_FIT_MARKS:
+    floor = np.abs(diffs) <= 1e-12 * R_star0
+    end = int(np.argmax(floor)) if floor.any() else n_periods + 1
+    ks = np.arange(burn_in, end)
+    if len(ks) < RATE_FIT_MARKS:  # only where the floor was reached
         raise InsufficientDataError(
-            "difference from the orbit hit the floating-point floor too early"
+            f"|R(kT) - R*(0)| fell to the rounding floor 1e-12 R*(0) at period {end}, "
+            f"leaving {len(ks)} of the {RATE_FIT_MARKS} marks a rate fit needs "
+            f"after the {burn_in}-period burn-in"
         )
     tk = t_marks[ks]
     logd = np.log(np.abs(diffs[ks]))

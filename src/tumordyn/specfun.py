@@ -6,7 +6,9 @@ order comes from one backward recurrence, P_{n-1} = 1 / (2n + 1 + r^2 P_n)
 enough above the wanted orders.  Backward is the stable direction (Gautschi
 1967), and Amos's (1974) bound r P_k < exp(-asinh((k+1)/r)) fixes how far.
 No I value is formed, so nothing overflows at large order or argument, and
-near the origin r^2 P_n underflows to the limit 1/(2n+3).
+near the origin r^2 P_n underflows to the limit 1/(2n+3).  P_0 takes the
+closed form from r = 0.3 and below it the same recurrence from one fixed
+depth, the one r = 0.3 needs, so its bits never depend on a batch.
 
 All evaluators accept scalars or numpy arrays of positive arguments.
 """
@@ -22,7 +24,6 @@ from .roots import find_root
 
 _CF_MAX_ITER = 100000  # cap on the recurrence's start depth
 _DEPTH_CONTRACTION = 64.0 * math.log(2.0)
-_SERIES_MAX_TERMS = 30
 _P0_DERIVATIVE_CLOSED_FROM = 20.0
 P0_INVERSE_FTOL = 1e-13  # |P_0(p0_inverse(y))/y - 1| stays within this
 
@@ -58,29 +59,6 @@ def _check_mode(n: int, m: int) -> tuple[int, int]:
     if not ok:
         raise ValueError(f"m must be a whole number with |m| <= n, got (n, m) = ({n}, {m!r})")
     return n, int(m)
-
-
-def _ratio_series(nu: float, r):
-    """I_{nu+1}(r)/I_nu(r) from the defining power series (small r*r/(4*nu)).
-
-    Both partial sums have positive terms, so the quotient is cancellation
-    free; ``p0`` calls it below r = 0.3, where <= ~10 terms reach double
-    precision.  r is a float or an array; both take the same operations.
-    """
-    x = 0.25 * r * r
-    s_lo = 1.0   # sum for I_nu with leading factor stripped
-    s_hi = 1.0   # same for I_{nu+1}
-    term_lo = 1.0
-    term_hi = 1.0
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term_lo = term_lo * x / (k * (nu + k))
-        term_hi = term_hi * x / (k * (nu + 1.0 + k))
-        s_lo = s_lo + term_lo
-        s_hi = s_hi + term_hi
-        done = term_lo < 1e-18 * s_lo
-        if done if isinstance(done, bool) else done.all():
-            break
-    return (0.5 * r / (nu + 1.0)) * s_hi / s_lo
 
 
 def _start_depth(n_hi: int, r_max: float) -> int:
@@ -125,6 +103,18 @@ def _ratios(n_hi: int, n_lo: int, r: np.ndarray):
             yield p
 
 
+def _recur(n: int, depth: int, r):
+    """P_n of a float or an array by the recurrence started depth orders
+    above n, with the IEEE operations of ``_ratios``: the same bits."""
+    p, r2 = 0.0, r * r
+    for m in range(n + depth, n, -1):
+        p = 1.0 / (r2 * p + (2.0 * m + 1.0))
+    return p
+
+
+_P0_DEPTH = _start_depth(0, 0.3)  # below r = 0.3 P_0 recurs from here: 8 orders
+
+
 def pn(n: int, r):
     """P_n(r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r)).
 
@@ -133,10 +123,7 @@ def pn(n: int, r):
     """
     n = _check_order(n)
     if isinstance(r, float) and 0.0 < r < math.inf:
-        p, r2 = 0.0, r * r
-        for m in range(n + _start_depth(n, r), n, -1):
-            p = 1.0 / (r2 * p + (2.0 * m + 1.0))
-        return p
+        return _recur(n, _start_depth(n, r), r)
     arr = _as_positive_array(r)
     out = next(_ratios(n, n, np.atleast_1d(arr)))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
@@ -157,15 +144,14 @@ def p0_float(r: float, _tanh=np.tanh) -> float:
     ValueError unless r is finite and positive."""
     if not 0.0 < r < math.inf:
         raise ValueError("argument r must be finite and positive")
-    return _ratio_series(0.5, r) / r if r < 0.3 else _p0_closed(r, float(_tanh(r)))
+    return _recur(0, _P0_DEPTH, r) if r < 0.3 else _p0_closed(r, float(_tanh(r)))
 
 
 def p0(r):
-    """P_0(r) = coth(r)/r - 1/r^2, with a series branch below r = 0.3.
-
-    The closed form loses accuracy near the origin (1/r^2 cancellation), so
-    small arguments reuse the series ratio; the crossover keeps the relative
-    error below ~1e-14 on both sides.
+    """P_0(r) = coth(r)/r - 1/r^2 from r = 0.3, where its 1/r^2 cancellation
+    costs at most ~1e-14 relative; below, the backward recurrence from the
+    fixed depth 8 (``_P0_DEPTH``), within 2 ulp, never above 1/3 and equal
+    to it once r^2 P_1 underflows.
 
     A float goes to ``p0_float``, which builds no arrays and returns the
     same bits as the array path, so no result depends on which path ran;
@@ -177,12 +163,10 @@ def p0(r):
     a = np.atleast_1d(arr)
     out = np.empty_like(a)
     small = a < 0.3
-    if np.any(small):
-        rs = a[small]
-        out[small] = _ratio_series(0.5, rs) / rs
-    if np.any(~small):
-        rl = a[~small]
-        out[~small] = _p0_closed(rl, np.tanh(rl))
+    if np.any(small):  # 24 array operations, even on an empty batch
+        out[small] = _recur(0, _P0_DEPTH, a[small])
+    rl = a[~small]
+    out[~small] = _p0_closed(rl, np.tanh(rl))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 
 

@@ -14,11 +14,13 @@ proliferation coefficient is mu_star = theta_2.
 The integrand is evaluated in one place, ``_mode_terms`` with its
 ``_ModeTerms.integrals``.  A collocated orbit's period is taken by the
 trapezoid rule on its collocation nodes (geometric for smooth periodic
-integrands: Trefethen & Weideman, SIAM Review 56, 2014); a shot orbit's
-period and every fractional window [0, tau) by the composite Gauss-Legendre
-nodes of ``gauss_nodes``, a window's on the dense solve's steps.  Node terms
-and integrals are memoized on the orbit: the whole period, each order once,
-and the latest window ``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
+integrands: Trefethen & Weideman, SIAM Review 56, 2014).  Every other
+integral, a shot orbit's period and each fractional window [0, tau), takes
+one Gauss-Legendre panel (``gauss_nodes``) per piece of the dense solve:
+its steps, split at the schedule's breakpoints, so that on each panel R* is
+one quartic and Phi one smooth formula.  Node terms and integrals are
+memoized on the orbit: the whole period, each order once, and the latest
+window ``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
 """
 
 from __future__ import annotations
@@ -120,10 +122,20 @@ def _mode_terms(orbit: PeriodicSolution, tq, wq, rq) -> _ModeTerms:
     return _ModeTerms(rq, weighted, pn(1, rq), float(np.sum(wq / rq**3)))
 
 
+def _piece_terms(orbit: PeriodicSolution, tau: float) -> _ModeTerms:
+    """Mode terms on [0, tau], tau <= T, one Gauss panel per piece: the
+    dense solve's steps split at the schedule's breakpoints."""
+    ends = orbit._interp.ts  # ends[0] = 0.0, ends[-1] = T
+    kinks = [b for b in orbit.params.schedule.breakpoints if b < tau]
+    # a kink on a step end would add one empty panel, of weight 0
+    tq, wq = gauss_nodes(np.sort(np.append(ends[: np.searchsorted(ends, tau)], [*kinks, tau])))
+    return _mode_terms(orbit, tq, wq, orbit(tq))
+
+
 def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
     """Int_0^T 1/R*^3 and each order's proliferation integral, memoized on
     the orbit: the trapezoid rule (weights T/M) on a collocated orbit's M
-    node radii, else one Gauss panel per stored step."""
+    node radii, else one Gauss panel per piece (``_piece_terms``)."""
     memo = orbit._mode_memo
     if "period" not in memo:
         rq, T = orbit.node_radii, orbit.period
@@ -131,15 +143,13 @@ def _period_integrals(orbit: PeriodicSolution, ns) -> tuple[float, list[float]]:
             h = T / rq.size
             memo["period"] = _mode_terms(orbit, np.arange(rq.size) * h, h, rq)
         else:
-            tq, wq = gauss_nodes(orbit.times)
-            memo["period"] = _mode_terms(orbit, tq, wq, orbit(tq))
+            memo["period"] = _piece_terms(orbit, T)
     terms = memo["period"]
     return terms.tension, terms.integrals(ns)
 
 
 def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[float, float]:
-    """The same two integrals of order n over [0, tau), one Gauss panel per
-    step of the dense solve, so no panel straddles a step end of R*'s quartics.
+    """The same two integrals of order n over [0, tau) (``_piece_terms``).
     A missing order is reduced in one pass with the higher orders the period
     memo holds, up to max(2n, n + 64), so a study's later orders hit and a
     large period memo costs no more.  Only the latest window is kept, so the
@@ -147,9 +157,7 @@ def _window_integrals(orbit: PeriodicSolution, tau: float, n: int) -> tuple[floa
     memo = orbit._mode_memo
     kept, terms = memo.get("window", (None, None))
     if kept != tau:
-        ends = orbit._interp.ts  # ends[0] = 0.0
-        tq, wq = gauss_nodes(np.append(ends[: np.searchsorted(ends, tau)], tau))
-        terms = _mode_terms(orbit, tq, wq, orbit(tq))
+        terms = _piece_terms(orbit, tau)
         memo["window"] = (tau, terms)
     if n not in terms.prolif:
         top = min(max(n, *memo["period"].prolif), max(2 * n, n + 64))
@@ -232,8 +240,8 @@ def evolve_mode(
     """Amplitude rho_nm(t) of surface mode (n, m); independent of m.
 
     Whole periods use Lambda_n from the integrals memoized on the orbit; the
-    fractional remainder is integrated by composite Gauss-Legendre on the
-    dense orbit, with the latest remainder's node terms memoized too.
+    fractional remainder is integrated by one Gauss-Legendre panel per piece
+    of the dense orbit, with the latest remainder's node terms memoized too.
     """
     n, m = _check_mode(n, m)
     if not (math.isfinite(t) and t >= 0.0):

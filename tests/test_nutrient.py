@@ -178,7 +178,8 @@ def test_float_path_bit_equal_to_array_path(schedule):
 @pytest.mark.parametrize("schedule", FORMS, ids=lambda s: type(s).__name__)
 def test_float_float64_and_one_element_array_agree(schedule):
     """Phi at one time has the same bits as a Python float, an np.float64 and
-    a 1-element array, through __call__ and through _value's float branch."""
+    a 1-element array, through __call__ and through _value's float branch
+    (math.sin and math.cos against numpy's, on 10^6 random times too)."""
     T = schedule.period
     for x in np.linspace(0.0, 3.0 * T, 301).tolist() + list(getattr(schedule, "knot_times", ())):
         want = np.asarray(schedule(np.array([x])), dtype=np.float64)[0].view(np.int64)
@@ -188,6 +189,14 @@ def test_float_float64_and_one_element_array_agree(schedule):
         for one in (tau, np.float64(tau), np.array([tau])):
             got = np.asarray(schedule._value(one), dtype=np.float64).ravel()[0]
             assert got.view(np.int64) == np.float64(schedule(tau)).view(np.int64), tau
+    rng = np.random.default_rng(24)
+    for period in (0.7, 2.0, 5.286):
+        knots = getattr(schedule, "knot_times", None)
+        scaled = {"knot_times": [x * period / T for x in knots]} if knots else {}
+        s = replace(schedule, period=period, **scaled)
+        tau = rng.uniform(0.0, period, 333_334)
+        got = np.array(list(map(s._value, tau.tolist())))
+        assert np.array_equal(got.view(np.int64), s._value(tau).view(np.int64)), period
 
 
 class TestStatistics:

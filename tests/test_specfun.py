@@ -38,6 +38,17 @@ class TestP0:
             oracle = float(mp.coth(mp.mpf(float(r))) / mp.mpf(float(r)) - 1 / mp.mpf(float(r)) ** 2)
             assert p0(float(r)) == pytest.approx(oracle, rel=1e-13)
 
+    def test_below_switch_at_most_one_third_and_nonincreasing(self):
+        v = p0(np.geomspace(1e-300, 0.3, 200_001))
+        assert np.all(v <= 1.0 / 3.0)
+        assert np.all(np.diff(v) <= 0.0)
+
+    def test_below_switch_within_two_ulp_of_oracle(self):
+        r = np.geomspace(1e-7, 0.3, 4001)[:-1]
+        want = [mp.coth(x) / x - 1 / x**2 for x in map(mp.mpf, r.tolist())]
+        err = max(abs(mp.mpf(v) / w - 1) for v, w in zip(p0(r).tolist(), want))
+        assert err <= 4.5e-16
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
@@ -53,6 +64,7 @@ class TestP0FloatPath:
 
     GRID = np.concatenate(
         [
+            np.geomspace(1e-300, 1e-6, 2001),
             np.logspace(-6, 4, 4001),
             np.linspace(0.3 - 1e-3, 0.3 + 1e-3, 2001),
             np.nextafter(0.3, [0.0, 1.0]),
@@ -63,6 +75,10 @@ class TestP0FloatPath:
     def test_bit_equal_to_array_path(self):
         scalar = np.array([p0(float(r)) for r in self.GRID])
         assert np.array_equal(_bits(scalar), _bits(p0(self.GRID)))
+        # any batch, small and large r mixed in any order, gives the same bits
+        order = np.random.default_rng(24).permutation(self.GRID.size)
+        for batch in np.array_split(order, 7):
+            assert np.array_equal(_bits(scalar[batch]), _bits(p0(self.GRID[batch])))
 
     def test_returns_python_float(self):
         for r in (1e-3, 0.29, 0.3, 2.0, np.float64(5.0)):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from tumordyn import (
     ConstantSchedule,
@@ -352,16 +352,47 @@ class TestModeMemo:
         want = [0.0 if n == 1 else want[n] for n in range(lo, hi + 1)]
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
+    KNOTTED = PiecewiseLinearSchedule(
+        period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+    )
+
     def test_shot_orbit_keeps_gauss_rule(self, monkeypatch):
-        schedule = PiecewiseLinearSchedule(
-            period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
-        )
+        schedule = self.KNOTTED
         params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule)
         sizes, builds = self._count_passes(monkeypatch)
         orbit = analyze(params, n_max=8).orbit
         assert (orbit.method, orbit.node_radii.size) == ("shooting", 0)
-        assert builds == [orbit.times[-1]]
-        assert sizes == [(orbit.times.size - 1) * 8]
+        # one 8-node panel per step of the dense solve, split at the two knots
+        assert builds == [orbit.period]
+        pieces = orbit._interp.ts.size - 1 + len(schedule.breakpoints)
+        assert sizes == [8 * pieces] == [360]
+
+    def test_shot_orbit_integrals_match_quad_on_pieces(self):
+        """theta_n and a fractional window on a shot orbit agree with adaptive
+        quadrature given the step ends and the knots as break points."""
+        schedule = self.KNOTTED
+        params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule)
+        orbit = find_periodic(params)
+        edges = np.union1d(orbit._interp.ts, schedule.breakpoints)
+
+        def integral(f, tau):
+            e = np.append(edges[edges < tau], tau)
+            return math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13)[0] for a, b in zip(e[:-1], e[1:]))
+
+        def integrals(n, tau):
+            def prolif(t):
+                r = orbit(t)
+                return schedule(t) * r * r * pn(0, r) * (pn(1, r) - pn(n, r))
+
+            curvature = params.gamma * n * (n * (n + 1) / 2.0 - 1.0)
+            return curvature * integral(lambda t: orbit(t) ** -3, tau), integral(prolif, tau)
+
+        for n in range(2, 9):
+            curvature, prolif = integrals(n, 1.0)
+            assert theta_n(orbit, n) == pytest.approx(curvature / prolif, rel=1e-14, abs=0.0)
+            curvature, prolif = integrals(n, 0.87)
+            want = (orbit.R_star0 / orbit(0.87)) ** (n - 1) * math.exp(params.mu * prolif - curvature)
+            assert evolve_mode(orbit, n, 0, 1.0, 0.87) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_orbits_do_not_share_values(self, default_params):
         a = find_periodic(default_params)

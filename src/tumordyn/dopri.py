@@ -11,8 +11,8 @@ solution and error rows are six ``np.dot`` products on a (7, 1) stage array,
 with the call shapes of scipy's ``rk_step``: numpy's dot may accumulate with
 fused multiply-adds, and plain float sums would round differently.  The first
 stage sum has one term, one rounding either way, so it is the plain product
-f * a21.  So the step sequence, the evaluation count and every value are
-those of ``solve_ivp(method="RK45")``.  The loop binds each product once per
+f * a21.  So the step sequence, the evaluation count and every step's value
+are those of ``solve_ivp(method="RK45")``.  The loop binds each product once per
 solve, as the ``dot`` method of a fixed view of the stage array (the same
 product without ``np.dot``'s dispatch).  Each product writes its one element
 into a preallocated array, read back through a ``memoryview``, and the stages
@@ -21,15 +21,15 @@ and no new array per product.
 
 Each accepted step forms its dense coefficients K^T P with scipy's (1, 7) by
 (7, 4) product and writes them as one row of a buffer that grows by
-doubling.  They are never formed as one product over many steps, and the
-dense output is read in bulk with one ``np.dot`` per step group, with that
-group's shape: BLAS picks its kernel by shape, and a batched product would
-round differently (see ``DenseSolution``).
+doubling, so the steps (``ts``, ``ys``, the evaluation count) are RK45's bit
+for bit.  The dense output is read elementwise by Horner's rule, not with
+scipy's power rows and ``np.dot``: a read is within a few ulp of scipy's,
+and its bits do not depend on what else is read in the same call (see
+``DenseSolution``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 
@@ -73,63 +73,27 @@ class DenseSolution:
     a step end belongs to the step that ends there; times outside
     [ts[0], ts[-1]] use the first or last step's polynomial.
 
-    An array of times is evaluated in bulk: step indices, h, x and the power
-    rows [x, x^2, x^3, x^4] with array ops, then exactly one ``np.dot`` per
-    step group on a C-contiguous (4, k) block, as scipy's ``RkDenseOutput``
-    does.  BLAS picks its kernel by shape, so one batched product over all
-    groups would round differently (a group of one is an FMA chain, a wider
-    one is neither that nor a plain sum) and move bits.
+    A read is elementwise: each time takes its step's coefficients and
+    evaluates the quartic by Horner's rule, so a time's value does not depend
+    on the other times read with it, and a float, a 0-d array and any
+    element of an array of any shape or order give the same bits.
     """
 
     def __init__(self, ts: list, ys: list, qs):
         self.ts = np.array(ts)
         self.ys = np.array(ys)
-        self._t_list, self._y_list = list(ts), list(ys)  # one float's read
         self._qs = qs  # row i: the dense coefficients of step i
 
     def __call__(self, t):
-        """R at a time (a float) or at an array of times (an array of that shape).
-
-        One time is read in float arithmetic around the same one-row ``np.dot``
-        as a group of one, so it gives the bits that time has inside an array.
-        """
-        if type(t) is float:
-            ts = self._t_list
-            i = min(max(bisect.bisect_left(ts, t) - 1, 0), len(ts) - 2)
-            h = ts[i + 1] - ts[i]
-            x = (t - ts[i]) / h
-            p = np.array([x, x * x, x * x * x, x * x * x * x])  # cumprod's products
-            return h * np.dot(self._qs[i : i + 1], p).item() + self._y_list[i]
+        """R at a time (a float) or at an array of times (an array of that shape)."""
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            return self(float(t))
-        last = len(self._qs) - 1
-        n = t.size
-        if n == 0:
-            return np.empty(t.shape)
-        order = np.argsort(t, axis=None)
-        t_sorted = t.ravel()[order]
-        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
-        t_old = self.ts[seg]
-        h = self.ts[seg + 1] - t_old
-        x = (t_sorted - t_old) / h
-        # the k points of a group starting at a fill powers[4a : 4a + 4k] row by row
-        starts = np.flatnonzero(np.diff(seg, prepend=-1))
-        sizes = np.diff(starts, append=n)
-        k = np.repeat(sizes, sizes)
-        slot = 3 * np.repeat(starts, sizes) + np.arange(n)
-        powers = np.empty(4 * n)
-        p = x
-        for row in range(4):
-            powers[slot + row * k] = p
-            p = p * x
-        d = np.empty((1, n))
-        qs, dot = self._qs, np.dot
-        for i, a, m in zip(seg[starts].tolist(), starts.tolist(), sizes.tolist()):
-            dot(qs[i : i + 1], powers[4 * a : 4 * (a + m)].reshape(4, m), out=d[:, a : a + m])
-        out = np.empty(n)
-        out[order] = h * d[0] + self.ys[seg]
-        return out.reshape(t.shape)
+        i = np.searchsorted(self.ts[1:-1], t)  # the step index, clipped to the first and last
+        t_old = self.ts[i]
+        h = self.ts[i + 1] - t_old
+        x = (t - t_old) / h
+        q0, q1, q2, q3 = self._qs.T[:, i]
+        y = h * x * (q0 + x * (q1 + x * (q2 + x * q3))) + self.ys[i]
+        return float(y) if y.ndim == 0 else y
 
 
 def _norm(x: float) -> float:

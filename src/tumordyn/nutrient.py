@@ -62,7 +62,7 @@ class NutrientSchedule:
     def _check_finite(self, **values):
         for name, value in values.items():
             try:
-                ok = math.isfinite(value)
+                ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
             except (TypeError, OverflowError):
                 ok = False
             if not ok:
@@ -72,7 +72,8 @@ class NutrientSchedule:
 
     def _finite_tuple(self, name, values) -> tuple[float, ...]:
         try:
-            out = tuple(float(x) for x in values)
+            # a bool is kept for _check_finite to reject by its index
+            out = tuple(x if isinstance(x, (bool, np.bool_)) else float(x) for x in values)
         except (TypeError, ValueError, OverflowError):
             raise ScheduleError(
                 f"{type(self).__name__} {name} must be a sequence of numbers, got {values!r}"

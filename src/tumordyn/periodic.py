@@ -148,7 +148,7 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
     method = "collocation"
     g = G(r) if r is not None and inside(r) else math.inf
     if tol < abs(g) < math.inf:  # a near miss: one Newton step on F
-        phi = params.schedule(np.linspace(0.0, params.period, node_radii.size, endpoint=False))
+        phi = params.schedule(np.arange(node_radii.size) * (params.period / node_radii.size))
         log_slope = params.period * float(np.mean(_diagonal(params.mu, phi, node_radii)))
         r -= g * min(1.0, r) / math.expm1(log_slope)  # F' = exp(log_slope) = exp(-Lambda_0 T)
         g = G(r) if inside(r) else math.inf
@@ -165,13 +165,9 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         # within the slack the proof's signs G(x_bar) >= 0 >= G(x2) hold
         r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
-    # the accepted root is almost always the last map evaluation, so this is
-    # a memo hit.  The dense read evaluates each step's points as one group,
-    # so the grid points in the last step give R(T) the full grid's bits
+    # the accepted root is almost always the last map evaluation: a memo hit
     interp = _one_period(params, r)._interp
-    grid = np.linspace(0.0, params.period, DEFAULT_SEGMENTS + 1)
-    last_step = grid[grid > interp.ts[-2]] if len(interp.ts) > 2 else grid
-    residual = abs(float(interp(last_step)[-1]) - r)
+    residual = abs(interp(params.period) - r)
     if residual > tol * min(1.0, r):
         raise SolverError(f"fixed-point residual {residual:.3e} exceeds tolerance {tol * min(1.0, r):.3e}")
 

@@ -102,7 +102,7 @@ class Trajectory:
     def __call__(self, t):
         """R at a time (a float) or at an array of times (an array of that shape)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.t1 + 1e-12):
+        if not np.all((t >= -1e-12) & (t <= self.t1 + 1e-12)):  # NaN is outside
             raise ValueError("evaluation time outside the integrated span")
         return self._interp(np.clip(t, 0.0, self.t1))
 

@@ -390,6 +390,27 @@ class TestValidation:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "schedule, name",
+        [
+            ({"form": "sinusoid", "period": True, "mean": True, "amplitude": False}, "period"),
+            ({"form": "sinusoid", "period": 1.0, "mean": True, "amplitude": 0.5}, "mean"),
+            ({"form": "sinusoid", "period": 1.0, "mean": 1.0, "amplitude": False}, "amplitude"),
+            ({"form": "constant", "period": 1.0, "value": True}, "value"),
+            ({"form": "fourier", "period": 1.0, "mean": 1.0, "sin": [0.1, True]}, "sin_coeffs[1]"),
+            ({"form": "piecewise", "period": 1.0, "times": [0.0, 1.0], "values": [True, True]}, "knot_values[0]"),
+        ],
+    )
+    def test_bool_schedule_number(self, tmp_path, capsys, schedule, name):
+        """A JSON true or false is not a schedule number (params' are already
+        rejected the same way)."""
+        cfg = write_config(tmp_path, extra={"schedule": schedule})
+        assert run("periodic", cfg, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {name} must be a finite number, got " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, config",
         [
             ("stability", {**BASE, "stability": {"self_consistent": "false"}}),

@@ -1,8 +1,10 @@
 """The scalar Dormand-Prince integrator against scipy's RK45 as an oracle.
 
 ``radial.integrate`` ports the RK45 controller and forms its sums with the
-same numpy calls, so step counts, evaluation counts and every value must be
-bitwise equal to ``solve_ivp(method="RK45")`` on the same right side.
+same numpy calls, so step counts, evaluation counts and every step end must
+be bitwise equal to ``solve_ivp(method="RK45")`` on the same right side.  The
+dense output is read elementwise by Horner's rule, so a read is held to a few
+ulp of scipy's read and to scipy's own error against a DOP853 reference.
 """
 
 import math
@@ -19,6 +21,7 @@ from tumordyn import (
     SinusoidSchedule,
     SolverError,
     dopri,
+    find_periodic,
     integrate,
     radial,
 )
@@ -53,12 +56,12 @@ CASES = [
 ]
 
 
-def _oracle(params, R0, t1, rtol, atol, t_eval=None):
+def _oracle(params, R0, t1, rtol, atol, t_eval=None, method="RK45"):
     sol = solve_ivp(
         lambda t, y: [radial.rhs(params, t, max(float(y[0]), 0.0))],
         (0.0, t1),
         [R0],
-        method="RK45",
+        method=method,
         rtol=rtol,
         atol=atol,
         dense_output=True,
@@ -66,6 +69,12 @@ def _oracle(params, R0, t1, rtol, atol, t_eval=None):
     )
     assert sol.success
     return sol
+
+
+def _step_ulps(traj, t, n=4):
+    """n ulp of the larger end value of each time's step."""
+    i = np.clip(np.searchsorted(traj.times, t) - 1, 0, traj.steps - 1)
+    return n * np.spacing(np.maximum(np.abs(traj.radii[i]), np.abs(traj.radii[i + 1])))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"{c[0]}-mu{c[1]}-s{c[2]}-rtol{c[5]}" for c in CASES])
@@ -85,16 +94,49 @@ def test_matches_rk45_bitwise(case):
     points = np.concatenate([rng.uniform(0.0, t1, 400), sol.t[::7]])
     # unsorted, with duplicates and with exact step ends
     points = rng.permutation(np.concatenate([points, rng.choice(points, 60), sol.t[::3]]))
-    assert np.array_equal(traj(points), sol.sol(points)[0])
-    for t in points[::37]:
-        assert traj(t) == sol.sol(t)[0]
+    got, scipy_read, ulps = traj(points), sol.sol(points)[0], _step_ulps(traj, points)
+    assert np.all(np.abs(got - scipy_read) <= ulps)
+    # no farther from a DOP853 reference than scipy's own read
+    ref = _oracle(params, R0, t1, 1e-13, 1e-16, method="DOP853").sol(points)[0]
+    assert np.all(np.abs(got - ref) <= np.abs(scipy_read - ref) + ulps)
 
     t_eval = np.linspace(0.0, t1, 16 * periods + 1)
     sol_e = _oracle(params, R0, t1, rtol, atol, t_eval=t_eval)
     traj_e = integrate(params, R0, t1, rtol=rtol, atol=atol).resample(t_eval)
     assert traj_e.nfev == sol_e.nfev
     assert np.array_equal(traj_e.times, sol_e.t)
-    assert np.array_equal(traj_e.radii, sol_e.y[0])
+    assert np.all(np.abs(traj_e.radii - sol_e.y[0]) <= _step_ulps(traj, t_eval))
+
+
+def _assert_batch_free(read, t):
+    """read(t_k) as a float has the bits of t_k's element in a batch, in a
+    permuted batch and in an nd batch."""
+    batch = read(t)
+    order = np.random.default_rng(t.size).permutation(t.size)
+    permuted = np.empty_like(batch)
+    permuted[order] = read(t[order])
+    nd = read(t.reshape(2, 4, -1)).ravel()
+    singles = np.array([read(x) for x in t.tolist()])
+    for other in (permuted, nd, singles):
+        assert np.array_equal(other.view(np.int64), batch.view(np.int64))
+
+
+def test_read_does_not_depend_on_batch(default_params):
+    traj = integrate(default_params, 1.0, 3.0)
+    t = np.concatenate([np.linspace(0.0, 3.0, 1025)[:-1], traj.times[:8]])
+    for read in (traj._interp, traj):
+        _assert_batch_free(read, t)
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("sigma", [0.3, 0.6, 0.9])
+def test_orbit_read_does_not_depend_on_batch(mu, sigma):
+    params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=SCHEDULES["sinusoid"])
+    orbit = find_periodic(params)
+    times = orbit.times[:-1]
+    _assert_batch_free(orbit, times)
+    assert [orbit(t) for t in times.tolist()] == orbit.radii[:-1].tolist()
+    assert orbit.residual == abs(orbit.radii[-1] - orbit.R_star0)
 
 
 def test_steps_do_not_depend_on_t_eval(default_params):

@@ -57,16 +57,20 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def _called(tree):
+    """The names of the functions and methods called anywhere in a syntax tree."""
+    return {
+        c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", None)
+        for c in ast.walk(tree)
+        if isinstance(c, ast.Call)
+    }
+
+
 def _calls_and_defs(path):
     """(called names, defined function names) in one module."""
-    called, defined = set(), set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call):
-            f = node.func
-            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defined.add(node.name)
-    return called, defined
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return _called(tree), defined
 
 
 def test_one_home_for_quadrature_and_schedule_statistics():
@@ -159,3 +163,20 @@ def test_one_spelling_per_quantity():
     for name in ("mode_exponent", "mode_decay_bound_check", "analyze"):
         assert not {"mu", "self_consistent"} & set(_params(defs["stability.py", name])), name
     assert _params(defs["periodic.py", "convergence_rate"])[:2] == ["orbit", "R0"]
+
+
+def _function(path, name, cls=None):
+    """The definition of function name (a method of class cls, if given) in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if cls is not None:
+        tree = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls)
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_one_dense_read_formula():
+    """A dense read is one elementwise formula: no grouped or one-row dot
+    products, no sort and no float-only bisect; find_periodic reads R(T)
+    directly, not through a grid's last step."""
+    read = _called(_function(SRC / "dopri.py", "__call__", cls="DenseSolution"))
+    assert not {"dot", "argsort", "bisect_left"} & read
+    assert "linspace" not in _called(_function(SRC / "periodic.py", "find_periodic"))

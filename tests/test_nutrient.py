@@ -276,6 +276,27 @@ def test_non_finite_parameters_rejected(spec):
         schedule_from_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: ConstantSchedule(period=b, value=1.0),
+        lambda b: ConstantSchedule(period=1.0, value=b),
+        lambda b: SinusoidSchedule(period=1.0, mean_level=b, amplitude=0.5),
+        lambda b: SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=b),
+        lambda b: FourierSchedule(period=1.0, mean_level=b),
+        lambda b: FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.1, b)),
+        lambda b: FourierSchedule(period=1.0, mean_level=1.0, sin_coeffs=[b]),
+        lambda b: PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, b), knot_values=(1.0, 1.0)),
+        lambda b: PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, 1.0), knot_values=(b, b)),
+    ],
+    ids=["period", "value", "mean", "amplitude", "fourier-mean", "cos", "sin", "times", "values"],
+)
+@pytest.mark.parametrize("b", [True, False, np.True_], ids=["true", "false", "np-true"])
+def test_bool_is_not_a_number(make, b):
+    with pytest.raises(ScheduleError, match="must be a finite number"):
+        make(b)
+
+
 class TestFromSpec:
     def test_all_forms(self):
         assert isinstance(

@@ -194,8 +194,9 @@ class TestIntegrate:
 
     def test_out_of_span_evaluation(self, default_params):
         traj = integrate(default_params, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            traj(2.0)
+        for t in (2.0, math.nan, np.array([0.5, math.nan]), [[0.5], [math.nan]]):
+            with pytest.raises(ValueError, match="outside the integrated span"):
+                traj(t)
 
 
 class TestClassification:

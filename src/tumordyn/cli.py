@@ -64,8 +64,6 @@ class NonFiniteError(TumordynError, ValueError):
 
 
 def _fmt(x) -> str:
-    if type(x) is float and math.isfinite(x):
-        return f"{x:.17g}"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -200,6 +198,13 @@ def _count(opts: dict, section: str, key: str, default: int, low: int, high: int
     return n
 
 
+def _span(params: ModelParams, key: str, n_periods: int) -> float:
+    """The time n_periods * T, which must be a float."""
+    if not math.isfinite(t1 := n_periods * params.period):
+        raise ConfigError(f"{key} * period = {n_periods} * {params.period!r} is past the float range")
+    return t1
+
+
 def _params_summary(params: ModelParams) -> dict:
     return {
         "mu": params.mu,
@@ -224,9 +229,9 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
             f"got {n_periods * samples}"
         )
     params = config.params
-    T = params.period
-    t_eval = np.linspace(0.0, n_periods * T, n_periods * samples + 1)
-    traj = radial.integrate(params, R0, n_periods * T).resample(t_eval)
+    t1 = _span(params, "simulate.n_periods", n_periods)
+    t_eval = np.linspace(0.0, t1, n_periods * samples + 1)
+    traj = radial.integrate(params, R0, t1).resample(t_eval)
     _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
 
     verdict = radial.classify_radial(params)
@@ -255,6 +260,7 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
     least = periodic_mod.RATE_BURN_IN + periodic_mod.RATE_FIT_MARKS - 1
     rate_periods = _count(opts, "periodic", "rate_n_periods", 30, least, _PERIODS_LIMIT)
     params = config.params
+    _span(params, "periodic.rate_n_periods", rate_periods)
     orbit = periodic_mod.find_periodic(params, tol=tol)
     _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times.tolist(), orbit.radii.tolist()))
 
@@ -304,10 +310,8 @@ def cmd_stability(config: RunConfig, out: Path) -> None:
             "verdict": report.verdict.value,
         },
     )
-    rows = []
-    for e in report.exponents:
-        theta = report.thresholds[e.mode - 2] if e.mode >= 2 else None
-        rows.append((e.mode, "" if theta is None else _fmt(theta), e.lambda_bar))
+    rows = [(e.mode, report.thresholds[e.mode - 2] if e.mode >= 2 else None, e.lambda_bar)
+            for e in report.exponents]
     _write_csv(out / "modes.csv", ["n", "theta_n", "lambda_n"], rows)
 
 

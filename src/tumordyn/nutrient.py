@@ -48,6 +48,9 @@ class NutrientSchedule:
         self._check_finite(period=self.period)
         if not self.period > 0.0:
             raise ScheduleError(f"period must be positive, got {self.period}")
+        # a normal float, so t / T keeps its digits, with 2 pi T finite, so the phase 2 pi t / T is
+        if not (self.period >= np.finfo(float).tiny and math.isfinite(2.0 * math.pi * self.period)):
+            raise ScheduleError(f"period must be within [2.2e-308, float max / (2 pi)], got {self.period!r}")
 
     def __call__(self, t):
         if isinstance(t, (float, int)):
@@ -72,9 +75,10 @@ class NutrientSchedule:
 
     def _finite_tuple(self, name, values) -> tuple[float, ...]:
         try:
-            # a bool is kept for _check_finite to reject by its index
-            out = tuple(x if isinstance(x, (bool, np.bool_)) else float(x) for x in values)
-        except (TypeError, ValueError, OverflowError):
+            # anything but a number (a bool, a string) is kept for _check_finite to reject by its index
+            number = (int, float, np.integer, np.floating)
+            out = tuple(float(x) if isinstance(x, number) and not isinstance(x, bool) else x for x in values)
+        except (TypeError, OverflowError):
             raise ScheduleError(
                 f"{type(self).__name__} {name} must be a sequence of numbers, got {values!r}"
             ) from None
@@ -153,14 +157,16 @@ class FourierSchedule(NutrientSchedule):
         return out
 
     def _scan_extrema(self):
-        # zero-mean harmonics: the period mean is exactly the constant term
+        # zero-mean harmonics: the period mean is exactly the constant term; a value past
+        # the float range is left to _set_stats, and an overflowing Brent step bisects
         tau = np.linspace(0.0, self.period, _SCAN_SAMPLES, endpoint=False)
-        vals = self._value(tau)
-        h = self.period / _SCAN_SAMPLES
-        hi, lo = (
-            refine_extremum(self._slope, self._value, tau[i] - h, tau[i] + h, vals[i], pick, 1e-13)
-            for i, pick in ((int(np.argmax(vals)), max), (int(np.argmin(vals)), min))
-        )
+        with np.errstate(all="ignore"):
+            vals = self._value(tau)
+            h = self.period / _SCAN_SAMPLES
+            hi, lo = (
+                refine_extremum(self._slope, self._value, tau[i] - h, tau[i] + h, vals[i], pick, 1e-13)
+                for i, pick in ((int(np.argmax(vals)), max), (int(np.argmin(vals)), min))
+            )
         return (self.mean_level, float(hi), float(lo))
 
     def _slope(self, tau):

@@ -2,13 +2,14 @@
 
 The Poincare map F(R0) = R(T) is a monotone self-map of the bracket
 [x_bar, x2] built from P0^{-1}; its unique fixed point seeds the periodic
-orbit.  A constant, sinusoid or Fourier supply first tries Fourier
-collocation of u = log R (``_collocate``), kept if it lies in the bracket and
-one period from it, or from one Newton step on the map (slope exp(-Lambda_0 T)
-from the nodes), meets the residual gate.  Otherwise, and for every
-piecewise-linear supply, the bracket signs are guaranteed, so the fixed
-point is a root of F(R0) - R0 found by Brent's method (``roots.find_root``),
-as accurate as the map's error times 1/(1 - F'), large near mu = 0.
+orbit.  A supply without ``breakpoints`` (constant, sinusoid, Fourier, or a
+two-knot table, which is constant) first tries Fourier collocation of
+u = log R (``_collocate``), kept if it lies in the bracket and one period from
+it, or from one Newton step on the map (slope exp(-Lambda_0 T) from the
+nodes), meets the residual gate.  Otherwise, and for every kinked supply, the
+bracket signs are guaranteed, so the fixed point is a root of F(R0) - R0 found
+by Brent's method (``roots.find_root``), as accurate as the map's error times
+1/(1 - F'), large near mu = 0.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 
 from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
-from .nutrient import ConstantSchedule, FourierSchedule, SinusoidSchedule
-from .radial import ModelParams, Trajectory, _require_positive, integrate, rhs
+from .radial import Classification, ModelParams, Trajectory, _require_positive, classify_radial, integrate, rhs
 from .roots import find_root, refine_extremum
 from .specfun import P0_INVERSE_FTOL, p0, p0_inverse, pn_derivative
 
@@ -48,15 +48,19 @@ def bracket(params: ModelParams) -> tuple[float, float]:
     x_bar = P0^{-1}(sigma_tilde / (3 mean Phi)) * exp(-mu (Phi_max - sigma_tilde) T / 3).
     """
     mean, phi_max = params.schedule.mean, params.schedule.maximum
-    if params.sigma_tilde >= mean:
+    if classify_radial(params) is Classification.EXTINCTION:
         raise NoPeriodicSolutionError(
             "no positive periodic solution: sigma_tilde >= mean nutrient supply"
         )
-    if params.sigma_tilde <= 0.0:
+    if params.sigma_tilde / 3.0 <= 0.0:  # the model's sigma_tilde / 3, 0 also when it underflows
         raise NoPeriodicSolutionError(
-            "no positive periodic solution: sigma_tilde must be positive"
+            "no positive periodic solution: sigma_tilde / 3 must be positive"
         )
-    x2 = p0_inverse(params.sigma_tilde / (3.0 * phi_max))
+    y2 = params.sigma_tilde / (3.0 * phi_max)
+    # R* <= x2 < 1/y2, and P0'(R*) takes R*^3, so (1/y2)^3 must be a float
+    if not y2**3 * np.finfo(float).max > 1.0:
+        raise SolverError(f"sigma_tilde / (3 Phi_max) = {y2:.3g} puts R* past the floating-point range")
+    x2 = p0_inverse(y2)
     growth = math.exp(
         -params.mu * (phi_max - params.sigma_tilde) * params.period / 3.0
     )
@@ -84,21 +88,19 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
 class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
-    ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a
-    collocated orbit) and the attempt's ``newton_steps`` say how R*(0) was
-    found; ``node_radii`` are the accepted exp(u_j) at t_j = j T / M (M = 0
-    on shooting), and node_radii[0] is R_star0 up to a Newton step
-    |F(r) - r| / (1 - F').  ``bracket(params)`` encloses R_star0.  The
-    samples ``times`` (DEFAULT_SEGMENTS equal steps of [0, T]), ``radii``
-    (checked positive), R_min and R_max are read from the dense period when
-    first asked for and kept; they and the memos (R*(t), ``stability``'s
-    mode integrals) are not init fields, so ``dataclasses.replace`` starts empty.
+    ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a collocated
+    orbit) and the attempt's ``newton_steps`` say how R*(0) was found; ``node_radii``
+    are the accepted exp(u_j) at t_j = j T / M (M = 0 on shooting), and node_radii[0]
+    is R_star0 up to a Newton step |F(r) - r| / (1 - F').  ``bracket(params)``
+    encloses R_star0; ``residual`` is |R*(T) - R_star0|.  The samples ``times``
+    (DEFAULT_SEGMENTS equal steps of [0, T]), ``radii`` (checked positive), R_min and
+    R_max are read from the dense period when first asked for and kept; they and the
+    memos (R*(t), ``stability``'s mode integrals) are not init fields, so
+    ``dataclasses.replace`` starts empty.
     """
 
     params: ModelParams
-    period: float
     R_star0: float
-    residual: float
     _interp: DenseSolution = field(repr=False)
     method: str = field(compare=False)
     map_evals: int = field(compare=False)
@@ -115,6 +117,8 @@ class PeriodicSolution:
             self._radius_memo[t] = self._interp(t % self.period)
         return self._radius_memo.get(t) or self._interp(t % self.period)
 
+    period = functools.cached_property(lambda self: self.params.period)
+    residual = property(lambda self: abs(self._interp(self.period) - self.R_star0))
     times = functools.cached_property(lambda self: np.linspace(0.0, self.period, DEFAULT_SEGMENTS + 1))
     radii = functools.cached_property(lambda self: _require_positive(self._interp(self.times)))
     _extrema = functools.cached_property(lambda self: _refine_extrema(self.params, self))
@@ -136,8 +140,7 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         maps += 1
         return (poincare_map(params, r0) - r0) / min(1.0, r0)
 
-    smooth = isinstance(params.schedule, (ConstantSchedule, SinusoidSchedule, FourierSchedule))
-    r, node_radii, steps = _collocate(params, tol) if smooth else (None, None, 0)
+    r, node_radii, steps = (None, None, 0) if params.schedule.breakpoints else _collocate(params, tol)
     # r <= x2 as P0(r) >= P0(x2) up to p0_inverse's tolerance: under a
     # constant supply the fixed point is x2
     y2 = params.sigma_tilde / (3.0 * params.schedule.maximum)
@@ -166,22 +169,18 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         r = find_root(G, x_bar, x2, max(g_lo, 0.0), min(g_hi, 0.0), ftol=tol)
 
     # the accepted root is almost always the last map evaluation: a memo hit
-    interp = _one_period(params, r)._interp
-    residual = abs(interp(params.period) - r)
-    if residual > tol * min(1.0, r):
-        raise SolverError(f"fixed-point residual {residual:.3e} exceeds tolerance {tol * min(1.0, r):.3e}")
-
-    return PeriodicSolution(
+    orbit = PeriodicSolution(
         params=params,
-        period=params.period,
         R_star0=r,
-        residual=residual,
-        _interp=interp,
+        _interp=_one_period(params, r)._interp,
         method=method,
         map_evals=maps,
         newton_steps=steps,
         node_radii=node_radii,
     )
+    if orbit.residual > (limit := tol * min(1.0, r)):
+        raise SolverError(f"fixed-point residual {orbit.residual:.3e} exceeds tolerance {limit:.3e}")
+    return orbit
 
 
 def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarray | None, int]:
@@ -297,8 +296,9 @@ def convergence_rate(
     orbit: PeriodicSolution, R0: float, n_periods: int, burn_in: int = RATE_BURN_IN
 ) -> RateFit:
     """Fit log|R(kT) - R*(kT)| of a solve from R0, under the orbit's
-    parameters, linearly in time and compare with the analytic contraction
-    bound mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
+    parameters, by least squares on the period index k (delta_hat =
+    -slope / T) and compare with the analytic contraction bound
+    mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
 
     M_min is the minimum of -P0' over the comparison interval
     [min(R0/R*(0),1)*R_min, max(R0/R*(0),1)*R_max].  The first burn_in
@@ -333,19 +333,13 @@ def convergence_rate(
             f"leaving {len(ks)} of the {RATE_FIT_MARKS} marks a rate fit needs "
             f"after the {burn_in}-period burn-in"
         )
-    tk = t_marks[ks]
+    # least squares of log|R(kT) - R*(0)| on k, in centred sums: no LAPACK
+    k = ks - ks.mean()
     logd = np.log(np.abs(diffs[ks]))
-    # marks too close for polyfit's column scale must not reach LAPACK
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            slope, intercept = np.polyfit(tk, logd, 1)
-    except (FloatingPointError, ValueError) as exc:  # LinAlgError is a ValueError
-        raise InsufficientDataError(f"rate fit of log|R(kT) - R*(0)| on time failed: {exc}") from None
-    fit = slope * tk + intercept
-    ss_res = float(np.sum((logd - fit) ** 2))
-    ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    delta_hat = -float(slope)
+    dev = logd - logd.mean()
+    sxy, sxx, syy = float(np.sum(k * dev)), float(np.sum(k * k)), float(np.sum(dev * dev))
+    r_squared = sxy * sxy / (sxx * syy) if syy > 0.0 else 1.0
+    delta_hat = -(sxy / sxx) / T
 
     ratio = R0 / R_star0
     lo = orbit.R_min * min(1.0, ratio)

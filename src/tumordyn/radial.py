@@ -88,16 +88,16 @@ def rhs(params: ModelParams, t: float, R: float) -> float:
 class Trajectory:
     """Dense ODE solution R(t) on [0, t1] with its interpolant.
 
-    ``times``/``radii`` are the accepted step ends, or after ``resample``
-    the requested times; ``steps`` counts accepted steps either way.
+    ``times``/``radii`` are the accepted step ends, or after ``resample`` the
+    requested times; ``t1`` and ``steps`` are read from the dense solve.
     """
 
     times: np.ndarray
     radii: np.ndarray
-    t1: float
-    steps: int
     nfev: int
     _interp: dopri.DenseSolution = field(repr=False)
+    t1 = property(lambda self: float(self._interp.ts[-1]))
+    steps = property(lambda self: len(self._interp.ts) - 1)
 
     def __call__(self, t):
         """R at a time (a float) or at an array of times (an array of that shape)."""
@@ -155,8 +155,6 @@ def integrate(
     return Trajectory(
         times=interp.ts,
         radii=_require_positive(interp.ys),
-        t1=t1,
-        steps=len(interp.ts) - 1,
         nfev=nfev,
         _interp=interp,
     )
@@ -172,11 +170,9 @@ def classify_radial(params: ModelParams) -> Classification:
 
 @dataclass
 class ExtinctionReport:
-    period_times: np.ndarray
     period_radii: np.ndarray
     nonincreasing_ok: bool
     cap_ok: bool
-    final_radius: float
     violations: list[str]
 
 
@@ -201,7 +197,6 @@ def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionR
     traj = traj.resample(t_grid)
 
     rk = traj.radii[::_GRID_PER_PERIOD]
-    tk = traj.times[::_GRID_PER_PERIOD]
     slack = 10.0 * max(DEFAULT_RTOL * float(np.max(traj.radii)), DEFAULT_ATOL)
     violations: list[str] = []
 
@@ -225,10 +220,8 @@ def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionR
             break
 
     return ExtinctionReport(
-        period_times=tk,
         period_radii=rk,
         nonincreasing_ok=nonincreasing_ok,
         cap_ok=cap_ok,
-        final_radius=float(traj.radii[-1]),
         violations=violations,
     )

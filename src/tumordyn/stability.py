@@ -174,8 +174,12 @@ def _threshold(params: ModelParams, n: int, tension: float, prolif: float) -> fl
     return _curvature_part(params, n, tension) / prolif
 
 
+def _exponent_integral(params: ModelParams, n: int, tension: float, prolif: float) -> float:
+    return _curvature_part(params, n, tension) - params.mu * prolif
+
+
 def _lambda(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> float:
-    return (_curvature_part(orbit.params, n, tension) - orbit.params.mu * prolif) / orbit.period
+    return _exponent_integral(orbit.params, n, tension, prolif) / orbit.period
 
 
 def _exponent(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> ModeExponent:
@@ -252,9 +256,7 @@ def evolve_mode(
     tension, (prolif,) = _period_integrals(orbit, [n])
     integral = k * _lambda(orbit, n, tension, prolif) * T
     if tau > 0.0:
-        params = orbit.params
-        tension, prolif = _window_integrals(orbit, tau, n)
-        integral += _curvature_part(params, n, tension) - params.mu * prolif
+        integral += _exponent_integral(orbit.params, n, *_window_integrals(orbit, tau, n))
     prefactor = (orbit.R_star0 / orbit(t)) ** (n - 1)
     return rho0 * prefactor * math.exp(-integral)
 
@@ -284,7 +286,7 @@ def mode_decay_bound_check(orbit: PeriodicSolution, n_range=range(2, 33)) -> Dec
     per_mode = []
     nonpositive = []
     for n, p in zip(ns, prolif[1:]):
-        lam = _exponent(orbit, n, tension, p).lambda_bar
+        lam = _lambda(orbit, n, tension, p)
         per_mode.append((n, lam / (n**3 + 1)))
         if lam <= 0.0:
             nonpositive.append(n)

@@ -123,12 +123,11 @@ class TestPeriodic:
         assert run("periodic", cfg, tmp_path / "out") == 1
 
     def test_rate_fit_failure_one_line_exit_1(self, tmp_path, capsys):
-        # period marks ~1e-300 apart underflow polyfit's column scale
+        # period marks ~1e-300 apart: R(kT) does not move, so the fitted rate is 0
         cfg = write_config(tmp_path, {"schedule": {**BASE["schedule"], "period": 1e-300}})
         assert run("periodic", cfg, tmp_path / "out") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: rate fit of log|R(kT) - R*(0)| on time failed: ")
-        assert err.count("\n") == 1
+        assert err == "error: fitted rate -0 fell below 95% of the analytic bound 0.0286456\n"
 
     def test_rate_fit_stops_at_rounding_floor(self, tmp_path, capsys):
         # at mu = 30 |R(kT) - R*(0)| is noise from period 9 on, before the burn-in ends
@@ -137,11 +136,11 @@ class TestPeriodic:
         err = capsys.readouterr().err
         assert err.startswith("error: |R(kT) - R*(0)| fell to the rounding floor 1e-12 R*(0) at period 9, ")
         assert err.count("\n") == 1 and "Traceback" not in err
-        # at mu = 10 the fit keeps its marks 10-21 and the value frozen before the floor rule
+        # at mu = 10 the fit keeps its marks 10-21; the closed-form fit's exact bits
         cfg = write_config(tmp_path, mu=10.0, sigma_tilde=0.6)
         assert run("periodic", cfg, tmp_path / "out10") == 0
         summary = json.loads((tmp_path / "out10" / "summary.json").read_text())
-        assert summary["delta_hat"] == float.fromhex("0x1.43f65b9a68d03p+0")
+        assert summary["delta_hat"] == float.fromhex("0x1.43f65b9a68d04p+0")
 
 
 class TestBlasThreads:
@@ -517,16 +516,78 @@ class TestValidation:
         assert (tmp_path / "file").read_text(encoding="utf-8") == "taken"
 
 
-# ----------------------------------------------------------------------
-# fuzz of the CLI boundary: a cheap valid config with up to two fields or
-# sections replaced by junk
+class TestFloatRange:
+    """Schedules at the float range's edge end in one line, with exit 1 or 2."""
 
+    SIN, CONST = BASE["schedule"], {"form": "constant", "period": 1.0, "value": 1.0}
+    LEVELS = {
+        "sinusoid-mean": {**SIN, "mean": 1e308},
+        "fourier-mean": {"form": "fourier", "period": 1.0, "mean": 1e308, "cos": [0.1]},
+        "constant-value": {**CONST, "value": 1e308},
+        "piecewise-value": {"form": "piecewise", "period": 1.0, "times": [0, 0.5, 1], "values": [1, 1e308, 1]},
+    }
+
+    @pytest.mark.parametrize("command", ["periodic", "stability", "sweep"])
+    @pytest.mark.parametrize("schedule", LEVELS.values(), ids=LEVELS)
+    def test_level_whose_orbit_leaves_the_floats(self, tmp_path, capsys, command, schedule):
+        # 3 Phi_max overflows, so the bracket's R* <= 3 Phi_max / sigma_tilde is past the floats
+        assert run(command, write_config(tmp_path, {"schedule": schedule}), tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        want = ("every sweep row failed" if command == "sweep"
+                else "sigma_tilde / (3 Phi_max) = 0 puts R* past the floating-point range")
+        assert err == f"error: {want}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "periodic", "stability", "sweep"])
+    @pytest.mark.parametrize("schedule", [
+        {"form": "fourier", "period": 1e308, "mean": 1.0, "cos": [0.1]},
+        {**CONST, "period": 1e308},
+        {**SIN, "period": 1e308},
+        {**SIN, "period": 5e-324},
+    ], ids=["fourier-1e308", "constant-1e308", "sinusoid-1e308", "sinusoid-subnormal"])
+    def test_period_outside_the_range_exit_2(self, tmp_path, capsys, command, schedule):
+        assert run(command, write_config(tmp_path, {"schedule": schedule}), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: period must be within [2.2e-308, float max / (2 pi)], got ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [("simulate", "simulate.n_periods"), ("periodic", "periodic.rate_n_periods")])
+    def test_span_past_the_floats_exit_2(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, {"schedule": {**self.CONST, "period": 1e307},
+                                      "simulate": {"n_periods": 30}})
+        assert run(command, cfg, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {key} * period = 30 * 1e+307 is past the float range\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "periodic", "stability", "sweep"])
+    @pytest.mark.parametrize("schedule, name", [
+        ({"form": "piecewise", "period": 1.0, "times": ["0", "0.5", "1"], "values": [1, 2, 1]}, "knot_times[0]"),
+        ({"form": "piecewise", "period": 1.0, "times": [0, 0.5, 1], "values": [1, "2", 1]}, "knot_values[1]"),
+        ({"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.1, "0.1"]}, "cos_coeffs[1]"),
+        ({"form": "fourier", "period": 1.0, "mean": 1.0, "sin": ["0.1"]}, "sin_coeffs[0]"),
+    ], ids=["times", "values", "cos", "sin"])
+    def test_string_element_exit_2(self, tmp_path, capsys, command, schedule, name):
+        """A numeric string in a schedule tuple is rejected by its index."""
+        assert run(command, write_config(tmp_path, {"schedule": schedule}), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f" {name} must be a finite number, got '" in err
+        assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# fuzz of the CLI boundary: a cheap valid config of any schedule form with up
+# to two fields, sections or list elements replaced by junk
+
+# finite extremes for every numeric field: the float range's ends, its
+# smallest subnormal and a tiny normal float
+EXTREMES = [1e308, -1e308, 5e-324, 1e-300]
 JUNK = st.one_of(
     st.text(max_size=3),
     st.booleans(),
     st.none(),
     st.lists(st.integers(-2, 2), max_size=2),
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -3, 10**400]),
+    st.sampled_from(EXTREMES),
 )
 
 
@@ -538,16 +599,29 @@ def _grid(lo, hi):
     return st.lists(st.floats(lo, hi), min_size=1, max_size=2, unique=True).map(sorted)
 
 
+@st.composite
+def _piecewise(draw):
+    inner = sorted(draw(st.lists(st.floats(0.1, 0.9), max_size=2, unique=True)))
+    values = draw(st.lists(st.floats(0.5, 1.5), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return {"form": "piecewise", "period": 1.0, "times": [0.0, *inner, 1.0], "values": [*values, values[0]]}
+
+
+PERIOD = st.floats(0.5, 2.0)
+COEFFS = st.lists(st.floats(-0.1, 0.1), max_size=2)
+SCHEDULE = st.one_of(
+    _section({"form": st.just("constant"), "value": st.floats(0.8, 1.2)}, period=PERIOD),
+    _section({"form": st.just("sinusoid"), "mean": st.floats(0.8, 1.2), "amplitude": st.floats(0.0, 0.5)},
+             period=PERIOD),
+    _section({"form": st.just("fourier"), "mean": st.floats(0.8, 1.2)}, period=PERIOD, cos=COEFFS, sin=COEFFS),
+    _piecewise(),
+)
 VALID_CONFIG = _section(
     {
         "version": st.just(1),
         "params": _section(
             {"mu": st.floats(0.1, 10.0), "sigma_tilde": st.floats(0.05, 1.5), "gamma": st.floats(0.5, 2.0)}
         ),
-        "schedule": _section(
-            {"form": st.just("sinusoid"), "mean": st.floats(0.8, 1.2), "amplitude": st.floats(0.0, 0.5)},
-            period=st.floats(0.5, 2.0),
-        ),
+        "schedule": SCHEDULE,
     },
     simulate=_section(R0=st.floats(0.5, 2.0), n_periods=st.integers(1, 2), samples_per_period=st.integers(1, 8)),
     periodic=_section(
@@ -561,6 +635,8 @@ VALID_CONFIG = _section(
 
 @st.composite
 def fuzz_configs(draw):
+    """A valid config with up to two fields, sections or list elements
+    (cos, sin, times, values, the sweep grids) replaced by junk."""
     config = draw(VALID_CONFIG)
     for _ in range(draw(st.integers(0, 2))):
         section = draw(st.sampled_from(sorted(config)))
@@ -570,6 +646,9 @@ def fuzz_configs(draw):
         key = draw(st.sampled_from(keys))
         if key is None:
             config[section] = draw(JUNK)
+        elif isinstance(config[section].get(key), list) and config[section][key] and draw(st.booleans()):
+            items = config[section][key]
+            items[draw(st.integers(0, len(items) - 1))] = draw(JUNK)
         else:
             config[section][key] = draw(JUNK)
     return config
@@ -588,7 +667,16 @@ LOW_SIGMA = {**BASE, "params": {**BASE["params"], "sigma_tilde": 0.5}}
 @example(command="periodic", config={**LOW_SIGMA, "periodic": {"rate_R0_factor": 1e308}})
 @example(command="sweep", config={**LOW_SIGMA, "sweep": {"mu_grid": [1e308]}})
 @example(command="stability", config={**BASE, "params": {**BASE["params"], "gamma": 1e308}})
+# the period marks of a 1e-300 period do not move: the rate gate fails
 @example(command="periodic", config={**BASE, "schedule": {**BASE["schedule"], "period": 1e-300}})
+# a level whose 3 Phi_max overflows, a phase 2 pi t / T that overflows, and
+# a simulated span n T past the float range
+@example(command="periodic", config={**BASE, "schedule": {**BASE["schedule"], "mean": 1e308}})
+@example(command="sweep", config={**BASE, "schedule": {"form": "constant", "period": 1.0, "value": 1e308}})
+@example(command="simulate", config={**BASE, "schedule": {"form": "fourier", "period": 1e308, "mean": 1.0}})
+@example(command="periodic", config={**BASE, "schedule": {"form": "constant", "period": 1e308, "value": 1.0}})
+@example(command="simulate", config={**BASE, "schedule": {"form": "constant", "period": 1e307, "value": 1.0},
+                                     "simulate": {"n_periods": 30}})
 def test_fuzz_cli_boundary(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -85,12 +85,18 @@ def test_one_home_for_quadrature_and_schedule_statistics():
 
 
 def test_no_module_uses_numpy_linalg():
-    """LAPACK results depend on the BLAS thread count, and artifacts must not."""
+    """LAPACK results depend on the BLAS thread count, and artifacts must not:
+    no numpy.linalg, and no polyfit or lstsq, which call it; periodic reads
+    whether to collocate from the schedule's breakpoints, not its class."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "linalg" not in attrs, path.name
         assert not any("linalg" in name for name in imported_names(path)), path.name
+        assert not {"polyfit", "lstsq"} & _called(tree), path.name
+    tree = ast.parse((SRC / "periodic.py").read_text(encoding="utf-8"))
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not {n for n in imported | _names(SRC / "periodic.py") if n.endswith("Schedule")}
 
 
 def _names(path):

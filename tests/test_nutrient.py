@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -336,3 +338,47 @@ class TestFromSpec:
     def test_not_a_mapping(self):
         with pytest.raises(ScheduleError):
             schedule_from_spec("constant")
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda x: FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.1, x)), "cos_coeffs[1]"),
+        (lambda x: FourierSchedule(period=1.0, mean_level=1.0, sin_coeffs=[x]), "sin_coeffs[0]"),
+        (lambda x: PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, x, 1.0), knot_values=(1.0, 2.0, 1.0)),
+         "knot_times[1]"),
+        (lambda x: PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, 1.0), knot_values=(x, 1.0)),
+         "knot_values[0]"),
+    ],
+    ids=["cos", "sin", "times", "values"],
+)
+@pytest.mark.parametrize("x", ["0.5", b"0.5", None, [0.5]], ids=["str", "bytes", "none", "list"])
+def test_tuple_element_must_be_a_number(make, name, x):
+    """A numeric string is not a number either: each element is checked by its index."""
+    with pytest.raises(ScheduleError, match=rf"{re.escape(name)} must be a finite number, got "):
+        make(x)
+
+
+def test_numpy_numbers_are_numbers():
+    s = PiecewiseLinearSchedule(period=1.0, knot_times=(0, np.float32(0.5), np.int64(1)),
+                                knot_values=[np.float64(1.0), 2, 1.0])
+    assert s.knot_times == (0.0, 0.5, 1.0) and all(type(t) is float for t in s.knot_times)
+    assert s.knot_values == (1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda T: ConstantSchedule(period=T, value=1.0),
+    lambda T: SinusoidSchedule(period=T, mean_level=1.0, amplitude=0.5),
+    lambda T: FourierSchedule(period=T, mean_level=1.0, cos_coeffs=(0.1,)),
+    lambda T: PiecewiseLinearSchedule(period=T, knot_times=(0.0, T), knot_values=(1.0, 1.0)),
+], ids=["constant", "sinusoid", "fourier", "piecewise"])
+def test_period_range(make):
+    # t / T keeps its digits while T is a normal float, and 2 pi t / T is
+    # finite for every t < T while 2 pi T is; Phi is then finite throughout
+    smallest, largest = sys.float_info.min, sys.float_info.max / (2.0 * math.pi)
+    for T in (smallest, largest):
+        s = make(T)
+        assert math.isfinite(s(0.5 * T)) and math.isfinite(s(math.nextafter(T, 0.0)))
+    for T in (math.nextafter(smallest, 0.0), 5e-324, math.nextafter(largest, math.inf), 1e308):
+        with pytest.raises(ScheduleError, match=r"period must be within \[2.2e-308, float max / \(2 pi\)\], got "):
+            make(T)

@@ -386,3 +386,71 @@ class TestConvergenceRate:
     def test_horizon_shorter_than_burn_in_named(self, default_orbit):
         with pytest.raises(InsufficientDataError, match="at least 13 periods .* 10-period burn-in"):
             convergence_rate(default_orbit, 2.0 * default_orbit.R_star0, 8)
+
+    @pytest.mark.parametrize("start", [2.0, 0.5])
+    def test_fit_agrees_with_polyfit(self, default_orbit, start):
+        # the closed-form least squares on k is polyfit's line on t = k T
+        R0, n = start * default_orbit.R_star0, 30
+        fit = convergence_rate(default_orbit, R0, n)
+        T = default_orbit.period
+        traj = integrate(default_orbit.params, R0, n * T, rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL)
+        ks = np.arange(periodic.RATE_BURN_IN, n + 1)
+        logd = np.log(np.abs(traj.resample(ks * T).radii - default_orbit.R_star0))
+        slope, intercept = np.polyfit(ks * T, logd, 1)
+        assert fit.n_periods_used == ks.size
+        assert fit.delta_hat == pytest.approx(-slope, rel=1e-12)
+        r_squared = 1.0 - np.sum((logd - slope * ks * T - intercept) ** 2) / np.sum((logd - logd.mean()) ** 2)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-12)
+
+    def test_motionless_marks_end_on_the_rate_gate(self):
+        # period marks 1e-300 apart: R(kT) does not move, the fitted rate is
+        # 0, and the rate gate fails with one named error
+        params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0,
+                             schedule=SinusoidSchedule(period=1e-300, mean_level=1.0, amplitude=0.5))
+        orbit = find_periodic(params)
+        with pytest.raises(SolverError, match=r"^fitted rate -0 fell below 95% of the analytic bound "):
+            convergence_rate(orbit, 2.0 * orbit.R_star0, 30)
+
+
+class TestRulesReadFromOwners:
+    def test_bracket_takes_the_tie_rule_from_classify_radial(self, default_params, monkeypatch):
+        # the tie sigma_tilde = mean counts as extinction in one place
+        tie = replace(default_params, sigma_tilde=1.0)
+        with pytest.raises(NoPeriodicSolutionError, match="sigma_tilde >= mean"):
+            bracket(tie)
+        monkeypatch.setattr(periodic, "classify_radial", lambda params: radial.Classification.PERSISTENCE)
+        with pytest.raises(ValueError, match="outside"):  # P0^-1(1/3) past the tie
+            bracket(tie)
+
+    def test_two_knot_table_collocates_as_constant(self):
+        # a two-knot table has no breakpoints: it is the constant supply,
+        # Phi has the same bits, and so does the orbit
+        table = PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, 1.0), knot_values=(1.2, 1.2))
+        constant = ConstantSchedule(period=1.0, value=1.2)
+        orbits = [find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=s))
+                  for s in (table, constant)]
+        assert [o.method for o in orbits] == ["collocation"] * 2
+        assert orbits[0].R_star0 == orbits[1].R_star0
+        assert np.array_equal(orbits[0].node_radii, orbits[1].node_radii)
+
+    @pytest.mark.parametrize("schedule", [
+        SinusoidSchedule(period=1.0, mean_level=1e308, amplitude=0.5),
+        ConstantSchedule(period=1.0, value=1e308),
+        PiecewiseLinearSchedule(period=1.0, knot_times=(0.0, 0.5, 1.0), knot_values=(1.0, 1e308, 1.0)),
+    ], ids=["sinusoid", "constant", "piecewise"])
+    def test_level_past_the_float_range_is_a_solver_error(self, schedule):
+        # 3 Phi_max overflows, so R* <= x2 = P0^-1(sigma_tilde / (3 Phi_max)) is past the floats
+        with pytest.raises(SolverError, match=r"^sigma_tilde / \(3 Phi_max\) = 0 puts R\* past the floating-point range$"):
+            bracket(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule))
+
+    def test_period_is_read_from_params(self, default_orbit):
+        assert "period" not in {f.name for f in dataclasses.fields(periodic.PeriodicSolution)}
+        assert default_orbit.period == default_orbit.params.period
+
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324])
+    def test_sigma_third_underflow_has_no_orbit(self, sigma):
+        # the model divides sigma_tilde by 3: at 5e-324 that is 0, the death
+        # term vanishes and R grows without bound, whatever the supply
+        params = ModelParams(mu=1.0, sigma_tilde=sigma, gamma=1.0, schedule=ConstantSchedule(period=1.0, value=1e-300))
+        with pytest.raises(NoPeriodicSolutionError, match="sigma_tilde / 3 must be positive"):
+            bracket(params)

@@ -223,7 +223,7 @@ class TestExtinctionDiagnostics:
         assert report.nonincreasing_ok
         assert report.cap_ok
         assert not report.violations
-        assert report.final_radius < 0.05
+        assert report.period_radii[-1] < 0.05
 
     def test_growing_solve_flags_both_violations(self, default_params):
         # a growing sigma_tilde = 0.3 solve judged against sigma_tilde = 1.2
@@ -254,13 +254,13 @@ class TestExtinctionDiagnostics:
         report = extinction_diagnostics(params, traj)
         fresh = integrate(params, 1.0, 12.0).resample(np.linspace(0.0, 12.0, 12 * 32 + 1))
         assert np.array_equal(report.period_radii, fresh.radii[::32])
-        assert report.final_radius == fresh.radii[-1]
+        assert report.period_radii[-1] == fresh.radii[-1]
 
     def test_period_marks_shape(self, default_params):
         params = replace(default_params, sigma_tilde=1.1)
         report = extinction_diagnostics(params, integrate(params, 1.0, 10 * params.period))
-        assert len(report.period_times) == 11
-        assert report.period_times[-1] == pytest.approx(10.0)
+        # R(kT) for k = 0..10; the marks' times are k T
+        assert len(report.period_radii) == 11
 
     def test_constant_supply_below_sigma(self):
         # Phi_max < sigma_tilde: dR/dt < 0 throughout, so R(kT) itself is the

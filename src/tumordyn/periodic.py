@@ -4,9 +4,10 @@ The Poincare map F(R0) = R(T) is a monotone self-map of the bracket
 [x_bar, x2] built from P0^{-1}; its unique fixed point seeds the periodic
 orbit.  A supply without ``breakpoints`` (constant, sinusoid, Fourier, or a
 two-knot table, which is constant) first tries Fourier collocation of
-u = log R (``_collocate``), kept if it lies in the bracket and one period from
-it, or from one Newton step on the map (slope exp(-Lambda_0 T) from the
-nodes), meets the residual gate.  Otherwise, and for every kinked supply, the
+u = log R (``_collocate``, each step the linearisation's periodic Green's
+function ``_green``), kept if it lies in the bracket and one period from it,
+or from one Newton step on the map (slope exp(-Lambda_0 T) from the nodes),
+meets the residual gate.  Otherwise, and for every kinked supply, the
 bracket signs are guaranteed, so the fixed point is a root of F(R0) - R0 found
 by Brent's method (``roots.find_root``), as accurate as the map's error times
 1/(1 - F'), large near mu = 0.
@@ -33,11 +34,11 @@ DEFAULT_SEGMENTS = 1024
 _RADIUS_MEMO = 16  # float times at which an orbit keeps R*(t)
 RATE_BURN_IN = 10  # periods the rate fit leaves out by default
 RATE_FIT_MARKS = 4  # period marks it fits at the least
-# collocation: node counts in turn, Newton steps per count, the step size
-# from which the Jacobian inverse is kept, and the resolved spectral tail
+# collocation: node counts in turn, steps per count, the step size below
+# which a step that stops halving ends the count, and the resolved spectral tail
 _COLLOCATION_NODES = (32, 64, 128, 256)
 _NEWTON_MAX = 16
-_CHORD_FROM = 1e-6
+_STALL_FROM = 1e-6
 _TAIL_TOL = 1e-13
 
 
@@ -88,8 +89,9 @@ def _one_period(params: ModelParams, R0: float) -> Trajectory:
 class PeriodicSolution:
     """One dense period [0, T] of the unique positive periodic radius orbit.
 
-    ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a collocated
-    orbit) and the attempt's ``newton_steps`` say how R*(0) was found; ``node_radii``
+    ``method`` ("collocation" or "shooting"), ``map_evals`` (1 or 2 on a collocated orbit)
+    and ``newton_steps`` (the collocation's Green steps over every M it tried; 0 if
+    none) say how R*(0) was found; ``node_radii``
     are the accepted exp(u_j) at t_j = j T / M (M = 0 on shooting), and node_radii[0]
     is R_star0 up to a Newton step |F(r) - r| / (1 - F').  ``bracket(params)``
     encloses R_star0; ``residual`` is |R*(T) - R_star0|.  The samples ``times``
@@ -184,16 +186,17 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
 
 
 def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarray | None, int]:
-    """(R*(0), the M node radii exp(u_j), Newton steps) by Fourier
-    collocation of u = log R; (None, None, Newton steps) if it fails.
+    """(R*(0), the M node radii exp(u_j), steps) by Fourier collocation of
+    u = log R; (None, None, steps) if it fails.
 
-    Newton solves D u = mu (Phi P0(e^u) - sigma_tilde/3) at M equispaced
-    nodes (D: Trefethen, Spectral Methods in MATLAB, ch. 3) until a chord
-    step stops halving; that step must be below tol * min(1, 1/R(0)).  M
-    doubles from 32 until u's coefficients from wave number 3M/8 on are
-    below _TAIL_TOL * max(1, largest), giving up at 256 or when their decay
-    per doubling falls short.  Never raises; uses no LAPACK, whose bits
-    depend on the BLAS thread count.
+    Steps u -= _green(residual, d/du of the right side) solve D u = mu (Phi
+    P0(e^u) - sigma_tilde/3) at M equispaced nodes (D: Trefethen, Spectral
+    Methods in MATLAB, ch. 3) until one below _STALL_FROM stops halving.  M
+    doubles from 32 while that step exceeds tol * min(1, 1/R(0)) or u's
+    coefficients from wave number 3M/8 on exceed _TAIL_TOL * max(1, largest),
+    giving up at 256, on a 4-fold step growth above _STALL_FROM, or when the
+    tail's decay per doubling falls short.  Never raises; uses no LAPACK,
+    whose bits depend on the BLAS thread count.
     """
     T, mu, s3, schedule = params.period, params.mu, params.sigma_tilde / 3.0, params.schedule
     u, tail_prev, steps = None, None, 0
@@ -203,12 +206,7 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
             col = np.where(k > 0, (math.pi / T) * (-1.0) ** k / np.tan(k * (math.pi / m)), 0.0)
             D = col[(k[:, None] - k) % m]
             phi = schedule(k * (T / m))
-            if u is None:
-                u = np.full(m, math.log(p0_inverse(s3 / schedule.mean)))
-            else:
-                c = np.fft.rfft(u)
-                c[-1] *= 0.5  # the old Nyquist term splits between +-m/4
-                u = np.fft.irfft(c, m) * 2.0
+            u = np.full(m, math.log(p0_inverse(s3 / schedule.mean))) if u is None else _interpolate(u, m)
             prev = math.inf
             for _ in range(_NEWTON_MAX):
                 R = np.exp(u)
@@ -216,23 +214,21 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
                     return None, None, steps
                 # D u without u's mean rounds at the size of u's variation
                 F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
-                if prev > _CHORD_FROM:
-                    jinv = _inverse(D - np.diag(_diagonal(mu, phi, R)))
-                du = (jinv * F).sum(axis=1)
+                du = _green(F, _diagonal(mu, phi, R), T)
                 step = float(np.max(np.abs(du)))
                 steps += 1
-                if not math.isfinite(step) or (prev > _CHORD_FROM and step > 4.0 * prev):
-                    return None, None, steps  # non-finite, or Newton diverging
+                if not math.isfinite(step) or (prev > _STALL_FROM and step > 4.0 * prev):
+                    return None, None, steps  # non-finite, or diverging
                 u = u - du
-                if prev <= _CHORD_FROM and not step < 0.5 * prev:
+                if prev <= _STALL_FROM and not step < 0.5 * prev:
                     break
                 prev = step
             r = float(np.exp(u[0]))
-            if not (0.0 < r < math.inf and step <= tol * min(1.0, 1.0 / r)):
+            if not 0.0 < r < math.inf:
                 return None, None, steps
             c = np.abs(np.fft.rfft(u))
             tail = float(np.max(c[3 * m // 8:])) / max(m, float(np.max(c)))
-            if tail <= _TAIL_TOL:
+            if tail <= _TAIL_TOL and step <= tol * min(1.0, 1.0 / r):
                 return r, np.exp(u), steps
             # the decay since the last M, kept up to the cap, must reach _TAIL_TOL
             if tail_prev and tail * (tail / tail_prev) ** math.log2(_COLLOCATION_NODES[-1] / m) > _TAIL_TOL:
@@ -241,28 +237,31 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
     return None, None, steps
 
 
+def _interpolate(x: np.ndarray, n: int) -> np.ndarray:
+    """x's trigonometric interpolant at n >= x.size equispaced points; x's Nyquist term splits in two."""
+    c = np.fft.rfft(x)
+    c[-1] *= 0.5
+    return np.fft.irfft(c, n) * (n / x.size)
+
+
+def _green(F: np.ndarray, a: np.ndarray, T: float) -> np.ndarray:
+    """The T-periodic v with v' - a v = F at F's nodes: v = e^A (d/dt - a_bar)^-1 (e^-A F),
+    a_bar the mean of a and A' = a - a_bar, each factor diagonal in Fourier space (the
+    Nyquist term's derivative 0, as in D), on twice the nodes so that products alias less."""
+    m = 2 * F.size
+    F, a = _interpolate(F, m), _interpolate(a, m)
+    ik = np.arange(m // 2 + 1) * (2j * math.pi / T)
+    ik[-1] = 0.0
+    a_bar = a.mean()
+    c = np.fft.rfft(a - a_bar)
+    A = np.fft.irfft(np.divide(c, ik, out=np.zeros_like(c), where=ik != 0.0), m)
+    w = np.fft.irfft(np.fft.rfft(np.exp(-A) * F) / (ik - a_bar), m)
+    return (np.exp(A) * w)[::2]
+
+
 def _diagonal(mu: float, phi: np.ndarray, R: np.ndarray) -> np.ndarray:
     """mu Phi P0'(R) R: d/du of the right side; its period mean is -Lambda_0."""
     return mu * phi * pn_derivative(0, R) * R
-
-
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """a^-1 by Gauss-Jordan exchange steps on a, each pivot the largest entry
-    of its column among rows not yet pivoted; non-finite if a is singular."""
-    free, rows = np.ones(len(a), dtype=bool), []
-    for k in range(len(a)):
-        p = int(np.argmax(np.where(free, np.abs(a[:, k]), -1.0)))
-        free[p] = False
-        rows.append(p)
-        row = a[p] / a[p, k]
-        row[k] = 1.0 / a[p, k]
-        col = a[:, k].copy()
-        col[p] = 0.0
-        a[:, k] = 0.0
-        a -= col[:, None] * row
-        a[p] = row
-    # row p of the table now gives x_k, and column k takes y_p
-    return a[rows][:, np.argsort(rows)]
 
 
 def _refine_extrema(params, traj):

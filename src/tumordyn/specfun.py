@@ -190,7 +190,8 @@ def pn_derivative(n: int, r):
     out = np.empty_like(a)
     large = (a >= _P0_DERIVATIVE_CLOSED_FROM) & (n == 0)
     rl, rs = a[large], a[~large]
-    out[large] = 2.0 / rl**3 - 1.0 / (rl * rl * np.tanh(rl))
+    with np.errstate(over="ignore"):  # r^3 overflows past r ~ 5.6e102, and 2/inf is 0
+        out[large] = 2.0 / rl**3 - 1.0 / (rl * rl * np.tanh(rl))
     p_next, p = (row.copy() for row in _ratios(n + 1, n, rs))
     out[~large] = rs * p * (p_next - p)
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)

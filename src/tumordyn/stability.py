@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoPeriodicSolutionError, SolverError
+from .errors import SolverError
 from .periodic import PeriodicSolution, find_periodic
 from .radial import ModelParams
 from .roots import find_root
@@ -211,12 +211,14 @@ def mode_exponent(orbit: PeriodicSolution, n: int) -> ModeExponent:
 
 def mu_star(params: ModelParams) -> float:
     """Self-consistent critical proliferation coefficient: the root of
-    mu = theta_2(orbit(mu)), to relative accuracy 1e-9.
+    mu = theta_2(orbit(mu)) to relative accuracy 1e-9, at the first sign
+    change of mu - theta_2 from - to + on a decade walk over [1e-6, 1e6]
+    (for sigma_tilde > Phi_min a second crossing back can follow).
 
     theta_2 on the orbit at params.mu (the per-mu classification) is
     ``theta_n(orbit, 2)``, which ``analyze`` reports as ``thresholds[0]``;
     the two coincide for a constant nutrient supply, where the orbit is
-    mu-independent.
+    mu-independent.  A walk that brackets no change raises SolverError.
     """
 
     def h(mu: float) -> float:
@@ -225,17 +227,20 @@ def mu_star(params: ModelParams) -> float:
 
     # walk a log grid; large mu can collapse the orbit radius below the
     # representable range, in which case no threshold exists numerically
-    prev = None
+    prev, stop = None, "no sign change from - to + on the walk"
     for exponent in range(-6, 7):
         mu_try = 10.0**exponent
         try:
             h_try = h(mu_try)
-        except (SolverError, ValueError, OverflowError):
+        except (SolverError, ValueError, OverflowError) as exc:
+            stop = f"the walk stopped at mu = {mu_try:g}: {exc}"
             break
         if prev is not None and prev[1] < 0.0 <= h_try:
             return find_root(h, prev[0], mu_try, prev[1], h_try, xtol=1e-12, rtol=1e-9)
         prev = (mu_try, h_try)
-    raise NoPeriodicSolutionError("self-consistent mu_star not bracketed in [1e-6, 1e6]")
+    last = "no mu was solved" if prev is None else (
+        f"mu - theta_2 {'<' if prev[1] < 0.0 else '>='} 0 at mu = {prev[0]:g}, the last mu solved")
+    raise SolverError(f"self-consistent mu_star not bracketed in [1e-6, 1e6]: {last}; {stop}")
 
 
 def evolve_mode(

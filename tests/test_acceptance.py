@@ -13,6 +13,8 @@ import pytest
 
 from tumordyn import (
     Classification,
+    ConstantSchedule,
+    FourierSchedule,
     ModelParams,
     SinusoidSchedule,
     boundary_derivatives,
@@ -25,6 +27,7 @@ from tumordyn import (
     integrate,
     mode_decay_bound_check,
     mode_exponent,
+    mu_star,
     p0,
     p_star,
     pn,
@@ -218,3 +221,25 @@ def test_criterion_9_cli_determinism(tmp_path):
     assert by[(0.5, 0.5)] == "LinearlyUnstable"
     assert by[(1.0, 0.5)] == "LinearlyUnstable"
     print("PASS criterion 9: byte-identical sweeps and correct verdict flips")
+
+
+@pytest.mark.parametrize("schedule", [
+    SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5),
+    FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.25, 0.08), sin_coeffs=(0.15, -0.05)),
+    ConstantSchedule(period=1.0, value=1.0),
+], ids=["sinusoid", "fourier", "constant"])
+def test_criterion_10_single_mu_star_crossing(schedule):
+    # sigma_tilde = 0.45 < Phi_min: mu - theta_2(orbit(mu)) changes sign once
+    # on a quarter-decade walk, and mu_star is that root
+    params = ModelParams(mu=1.0, sigma_tilde=0.45, gamma=1.0, schedule=schedule)
+    assert params.sigma_tilde < schedule.minimum
+    mus = 10.0 ** (np.arange(-12, 13) / 4.0)
+    orbits = [find_periodic(replace(params, mu=mu)) for mu in mus]
+    assert {orbit.method for orbit in orbits} == {"collocation"}
+    h = mus - np.array([theta_n(orbit, 2) for orbit in orbits])
+    changes = np.flatnonzero(np.sign(h[:-1]) != np.sign(h[1:]))
+    assert changes.size == 1 and h[changes[0]] < 0.0 < h[changes[0] + 1]
+    root = mu_star(params)
+    assert mus[changes[0]] < root < mus[changes[0] + 1]
+    assert abs(root - theta_n(find_periodic(replace(params, mu=root)), 2)) <= 1e-9 * root
+    print(f"PASS criterion 10: one sign change of mu - theta_2, mu_star = {root:.6g}")

@@ -118,6 +118,16 @@ class TestPeriodic:
         assert summary["residual"] <= 1e-11
         assert summary["delta_hat"] >= 0.95 * summary["delta_bound"] > 0.0
 
+    def test_huge_rate_start_writes_nothing_to_stderr(self, tmp_path):
+        # the rate bound reads P0' at R_max * 1e200, where r^3 overflows to inf
+        cfg = write_config(tmp_path, {"periodic": {"rate_R0_factor": 1e200}})
+        proc = subprocess.run(
+            [sys.executable, "-m", "tumordyn.cli", "periodic", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_no_periodic_solution_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, sigma_tilde=1.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
@@ -195,6 +205,15 @@ class TestStability:
         assert run("stability", cfg, out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["self_consistent_mu_star"] == stability.mu_star(cli.load_config(cfg).params)
+
+    def test_self_consistent_walk_failure_one_line_exit_1(self, tmp_path, capsys):
+        # the README's sigma_tilde = 0.9 has orbits, so the failure is not
+        # "no positive periodic solution": it names where the walk stopped
+        cfg = write_config(tmp_path, extra={"stability": {"n_max": 2, "self_consistent": True}})
+        assert run("stability", cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: self-consistent mu_star not bracketed in [1e-6, 1e6]: ")
+        assert err.count("\n") == 1 and "no positive periodic solution" not in err
 
     def test_high_n_max(self, tmp_path):
         cfg = write_config(tmp_path, extra={"stability": {"n_max": 100}})

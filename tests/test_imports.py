@@ -186,3 +186,11 @@ def test_one_dense_read_formula():
     read = _called(_function(SRC / "dopri.py", "__call__", cls="DenseSolution"))
     assert not {"dot", "argsort", "bisect_left"} & read
     assert "linspace" not in _called(_function(SRC / "periodic.py", "find_periodic"))
+
+
+def test_collocation_builds_no_jacobian_matrix():
+    """Each collocation step is the periodic Green's function of the
+    linearisation: periodic defines no matrix inverse, and _collocate forms
+    no diagonal matrix D - diag(a)."""
+    assert "_inverse" not in _calls_and_defs(SRC / "periodic.py")[1]
+    assert "diag" not in _called(_function(SRC / "periodic.py", "_collocate"))

@@ -217,12 +217,46 @@ class TestCollocation:
         # at mu = 200 the spectrum of u decays too slowly from M = 32 to 64
         # to reach _TAIL_TOL by M = 256, so the attempt stops after M = 64
         params = ModelParams(mu=200.0, sigma_tilde=0.6, gamma=1.0, schedule=SINUSOID)
-        sizes, inverse = [], periodic._inverse
-        monkeypatch.setattr(periodic, "_inverse", lambda a: sizes.append(len(a)) or inverse(a))
+        sizes, green = [], periodic._green
+        monkeypatch.setattr(periodic, "_green", lambda F, a, T: sizes.append(len(F)) or green(F, a, T))
         r, node_radii, steps = periodic._collocate(params, periodic.DEFAULT_TOL)
         assert (r, node_radii) == (None, None)
         assert steps >= 1
         assert (sizes[0], sizes[-1]) == (32, 64)
+
+    @pytest.mark.parametrize("m", [32, 64])
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    @pytest.mark.parametrize("a", [
+        lambda x: np.full_like(x, -1.5),
+        lambda x: -2.0 + 0.8 * np.cos(x) + 0.3 * np.sin(2.0 * x),
+    ], ids=["constant-a", "smooth-a"])
+    def test_green_solves_the_collocated_linear_step(self, m, T, a):
+        # (D - diag a) v = F at the nodes, D the spectral derivative on m nodes
+        k, col = np.arange(m), np.zeros(m)
+        col[1:] = (math.pi / T) * (-1.0) ** k[1:] / np.tan(k[1:] * (math.pi / m))
+        D = col[(k[:, None] - k) % m]
+        x = k * (2.0 * math.pi / m)
+        F, a_nodes = np.exp(np.sin(x)) - 0.4 * np.cos(3.0 * x), a(x)
+        v = periodic._green(F, a_nodes, T)
+        assert np.max(np.abs(D @ v - a_nodes * v - F)) <= 1e-12 * np.max(np.abs(F))
+
+    @pytest.mark.parametrize("schedule, mu, sigma, r_star0", [
+        (SINUSOID, 316.0, 0.3, 7.708699050552055),
+        (SINUSOID, 1000.0, 0.3, 8.503128939296488),
+        (FOURIER, 316.0, 0.3, 11.828847104146421),
+        (FOURIER, 1000.0, 0.3, 12.148067855794398),
+        (SINUSOID, 100.0, 0.9, 0.03433192425830608),
+        (FOURIER, 0.1, 1e-3, 2998.9976776936205),
+        (ConstantSchedule(period=1.0, value=1.0), 1.0, 0.5, 4.73331939977518),
+    ], ids=["sinusoid-316", "sinusoid-1000", "fourier-316", "fourier-1000",
+            "sinusoid-100-0.9", "fourier-0.1-1e-3", "constant"])
+    def test_green_steps_keep_the_inverse_roots(self, schedule, mu, sigma, r_star0):
+        # references from full Newton steps (the dense inverse of D - diag(a)):
+        # the discrete equations are the same, so only rounding may differ
+        r = periodic._collocate(
+            ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule), periodic.DEFAULT_TOL
+        )[0]
+        assert r == pytest.approx(r_star0, rel=1e-13, abs=0.0)
 
     def test_piecewise_never_collocates(self, monkeypatch):
         attempts = []

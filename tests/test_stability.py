@@ -9,9 +9,9 @@ from scipy.integrate import quad, solve_ivp
 from tumordyn import (
     ConstantSchedule,
     ModelParams,
-    NoPeriodicSolutionError,
     PiecewiseLinearSchedule,
     SinusoidSchedule,
+    SolverError,
     Verdict,
     analyze,
     classify_stability,
@@ -167,8 +167,14 @@ class TestMuStar:
         assert root == pytest.approx(theta_n(orbit, 2), rel=1e-6)
 
     def test_self_consistent_no_root(self, default_params):
-        # at sigma_tilde = 0.9 the threshold outruns mu on the whole grid
-        with pytest.raises(NoPeriodicSolutionError):
+        # at sigma_tilde = 0.9 the threshold outruns mu up to mu = 100, and at
+        # mu = 1000 the shot orbit fails its bracket sign check; orbits exist,
+        # so the walk ends on a solver error that says where and why
+        with pytest.raises(SolverError, match=(
+            r"^self-consistent mu_star not bracketed in \[1e-6, 1e6\]: "
+            r"mu - theta_2 < 0 at mu = 100, the last mu solved; "
+            r"the walk stopped at mu = 1000: Poincare map bracket sign condition violated"
+        )):
             mu_star(default_params)
 
 

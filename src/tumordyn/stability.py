@@ -18,14 +18,17 @@ integrands: Trefethen & Weideman, SIAM Review 56, 2014).  Every other
 integral, a shot orbit's period and each fractional window [0, tau), takes
 one Gauss-Legendre panel (``gauss_nodes``) per piece of the dense solve:
 its steps, split at the schedule's breakpoints, so that on each panel R* is
-one quartic and Phi one smooth formula.  Node terms and integrals are
-memoized on the orbit: the whole period, each order once, and the latest
-window ``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
+one quartic and Phi one smooth formula.  That rule is numpy's leggauss, the
+one LAPACK call in the package (eigvalsh on an 8x8 matrix), built when those
+integrals first need it.  Node terms and integrals are memoized on the
+orbit: the whole period, each order once, and the latest window
+``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,7 +44,6 @@ DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
 _QUAD_NODES_PER_SEGMENT = 8
 _BLOCK_ROWS = 64  # orders reduced by one row-wise sum
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
 
 
 class Verdict(enum.Enum):
@@ -103,16 +105,24 @@ class _ModeTerms:
         return [self.prolif[n] for n in ns]
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's leggauss(_QUAD_NODES_PER_SEGMENT) on [-1, 1]: it imports
+    numpy.polynomial and runs LAPACK's eigvalsh, which no radial run needs."""
+    return np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
+
+
 def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on the intervals between
     consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
-    to edges[-1] - edges[0]."""
+    to edges[-1] - edges[0].  The rule is built on the first call."""
+    x, w = _gauss_rule()
     lo = edges[:-1]
     hi = edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    tq = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    wq = (half[:, None] * _GAUSS_W[None, :]).ravel()
+    tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wq = (half[:, None] * w[None, :]).ravel()
     return tq, wq
 
 

@@ -154,8 +154,27 @@ class TestPeriodic:
 
 
 class TestBlasThreads:
-    """The orbit solve uses no LAPACK, so no artifact depends on the BLAS
-    thread count."""
+    """No artifact depends on the BLAS thread count: the orbit solve uses no
+    LAPACK, and the one LAPACK call, the Gauss-Legendre rule of a shot
+    orbit's integrals, gives the same bytes at one and two threads."""
+
+    @staticmethod
+    def _runs(tmp_path, command, config):
+        """(exit code, stderr, artifact bytes) of one CLI run under each of
+        OPENBLAS_NUM_THREADS = 1 and 2."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tumordyn.cli", command, "--config", str(cfg), "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+                     "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120,
+            )
+            runs.append((proc.returncode, proc.stderr, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        return runs
 
     @pytest.mark.parametrize("params, schedule", [
         ({"mu": 100.0, "sigma_tilde": 0.6}, BASE["schedule"]),
@@ -163,20 +182,24 @@ class TestBlasThreads:
          {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.25, 0.08], "sin": [0.15, -0.05]}),
     ], ids=["sinusoid-mu100", "fourier"])
     def test_periodic_bytes(self, tmp_path, params, schedule):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(dict(BASE, params=dict(BASE["params"], **params), schedule=schedule)))
-        runs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"out-{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "tumordyn.cli", "periodic", "--config", str(cfg), "--out", str(out)],
-                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
-                     "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True, text=True, timeout=120,
-            )
-            runs.append((proc.returncode, proc.stderr, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        config = dict(BASE, params=dict(BASE["params"], **params), schedule=schedule)
+        runs = self._runs(tmp_path, "periodic", config)
         # at mu = 100 the rate fit fails (exit 1) after orbit.csv is written
         assert "orbit.csv" in runs[0][2]
+        assert runs[0] == runs[1]
+
+    def test_shot_stability_bytes(self, tmp_path):
+        """A piecewise supply's orbit is shot, so its exponents take the
+        Gauss-Legendre panels, whose rule runs LAPACK's eigvalsh."""
+        config = dict(
+            BASE,
+            params={"mu": 1.0, "sigma_tilde": 0.5, "gamma": 1.0},
+            schedule={"form": "piecewise", "period": 1.0,
+                      "times": [0.0, 0.3, 0.55, 1.0], "values": [1.0, 1.8, 0.4, 1.0]},
+            stability={"n_max": 8},
+        )
+        runs = self._runs(tmp_path, "stability", config)
+        assert runs[0][0] == 0 and "report.json" in runs[0][2]
         assert runs[0] == runs[1]
 
 

@@ -1,6 +1,7 @@
 """The package's runtime imports: numpy only; scipy is a test oracle."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -41,6 +42,44 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_gauss_rule_built_on_first_use():
+    """The Gauss-Legendre rule (numpy's leggauss, which imports
+    numpy.polynomial and runs LAPACK) is built by the first fractional
+    window, not by the import, a collocated analysis, a rate fit or a solve;
+    gauss_nodes on [-1, 1] then gives leggauss's own bits."""
+    code = """
+import json, sys
+import numpy as np
+import tumordyn.cli
+from tumordyn import (
+    ModelParams, SinusoidSchedule, analyze, convergence_rate, evolve_mode, integrate, stability,
+)
+
+seen = ["numpy.polynomial" in sys.modules]
+schedule = SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5)
+params = ModelParams(mu=1.0, sigma_tilde=0.9, gamma=1.0, schedule=schedule)
+orbit = analyze(params, n_max=8).orbit
+convergence_rate(orbit, 2.0 * orbit.R_star0, 40)
+integrate(params, 1.0, 10.0)
+seen.append("numpy.polynomial" in sys.modules)
+evolve_mode(orbit, 2, 0, 1.0, 0.5)
+seen.append("numpy.polynomial" in sys.modules)
+got = stability.gauss_nodes(np.array([-1.0, 1.0]))
+want = np.polynomial.legendre.leggauss(8)
+same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+print(json.dumps([orbit.method, seen, same]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert json.loads(out.stdout) == ["collocation", [False, False, True], True]
 
 
 def test_cli_import_loads_no_process_pool():

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stability
+from .errors import SolverError
 from .periodic import PeriodicSolution
 from .radial import rhs
 from .specfun import _check_mode, p0, pn
@@ -126,8 +127,8 @@ def perturbed_surface(
     """First-order perturbed boundary radius r(theta, phi) at time t.
 
     modes is an iterable of (n, m, initial_amplitude); amplitudes are evolved
-    to time t with the mode dynamics before the harmonics are summed.  The
-    real part of the harmonic sum is exported.
+    to time t with the mode dynamics (SolverError if one is not finite) before
+    the harmonics are summed.  The real part of the harmonic sum is exported.
     """
     modes = [(*_check_mode(n, m), rho0) for n, m, rho0 in modes]
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -137,6 +138,8 @@ def perturbed_surface(
     total = np.zeros_like(th, dtype=complex)
     for n, m, rho0 in modes:
         amp = stability.evolve_mode(orbit, n, m, rho0, t)
+        if not math.isfinite(amp):
+            raise SolverError(f"the amplitude of mode (n, m) = ({n}, {m}) at t = {t:g} is not finite")
         total += amp * spherical_harmonic(n, m, th, ph)
     deviation = epsilon * np.real(total)
     if deviation.size and np.max(np.abs(deviation)) > 0.1 * orbit.R_min:

@@ -18,17 +18,16 @@ integrands: Trefethen & Weideman, SIAM Review 56, 2014).  Every other
 integral, a shot orbit's period and each fractional window [0, tau), takes
 one Gauss-Legendre panel (``gauss_nodes``) per piece of the dense solve:
 its steps, split at the schedule's breakpoints, so that on each panel R* is
-one quartic and Phi one smooth formula.  That rule is numpy's leggauss, the
-one LAPACK call in the package (eigvalsh on an 8x8 matrix), built when those
-integrals first need it.  Node terms and integrals are memoized on the
-orbit: the whole period, each order once, and the latest window
-``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
+one quartic and Phi one smooth formula.  The 8-node rule is a table of
+correctly rounded constants (Golub & Welsch, Math. Comp. 23, 1969; Abramowitz
+& Stegun, Table 25.4), so no integral calls LAPACK.  Node terms and integrals
+are memoized on the orbit: the whole period, each order once, and the latest
+window ``evolve_mode`` asked for (first pass: n to max(2n, n + 64)).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +41,6 @@ from .specfun import _check_mode, _check_order, _ratios, pn
 
 DEFAULT_N_MAX = 32
 MARGINAL_BAND = 1e-8
-_QUAD_NODES_PER_SEGMENT = 8
 _BLOCK_ROWS = 64  # orders reduced by one row-wise sum
 
 
@@ -105,25 +103,20 @@ class _ModeTerms:
         return [self.prolif[n] for n in ns]
 
 
-@functools.cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's leggauss(_QUAD_NODES_PER_SEGMENT) on [-1, 1]: it imports
-    numpy.polynomial and runs LAPACK's eigvalsh, which no radial run needs."""
-    return np.polynomial.legendre.leggauss(_QUAD_NODES_PER_SEGMENT)
+# The positive roots x of P_8 and their weights 2/((1 - x^2) P_8'(x)^2), each
+# correctly rounded; the rule on [-1, 1] mirrors them.
+_GAUSS_X = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363)
+_GAUSS_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
 
 
 def gauss_nodes(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on the intervals between
-    consecutive edges, _QUAD_NODES_PER_SEGMENT per interval; the weights sum
-    to edges[-1] - edges[0].  The rule is built on the first call."""
-    x, w = _gauss_rule()
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    tq = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wq = (half[:, None] * w[None, :]).ravel()
-    return tq, wq
+    """Composite 8-node Gauss-Legendre nodes and weights on the intervals
+    between consecutive edges; the weights sum to edges[-1] - edges[0]."""
+    x = np.array([-v for v in reversed(_GAUSS_X)] + list(_GAUSS_X))
+    w = np.array(_GAUSS_W[::-1] + _GAUSS_W)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _mode_terms(orbit: PeriodicSolution, tq, wq, rq) -> _ModeTerms:
@@ -261,6 +254,7 @@ def evolve_mode(
     Whole periods use Lambda_n from the integrals memoized on the orbit; the
     fractional remainder is integrated by one Gauss-Legendre panel per piece
     of the dense orbit, with the latest remainder's node terms memoized too.
+    Past the float range it is inf with rho0's sign (0 for rho0 = 0).
     """
     n, m = _check_mode(n, m)
     if not (math.isfinite(t) and t >= 0.0):
@@ -273,7 +267,10 @@ def evolve_mode(
     if tau > 0.0:
         integral += _exponent_integral(orbit.params, n, *_window_integrals(orbit, tau, n))
     prefactor = (orbit.R_star0 / orbit(t)) ** (n - 1)
-    return rho0 * prefactor * math.exp(-integral)
+    try:
+        return rho0 * prefactor * math.exp(-integral)
+    except OverflowError:
+        return math.copysign(math.inf, rho0) if rho0 else 0.0
 
 
 @dataclass

@@ -1,15 +1,21 @@
 """The asymptotic regimes as closed-form oracles.
 
 Averaging (Sanders, Verhulst & Murdock, *Averaging Methods in Nonlinear
-Dynamical Systems*, 2007) gives values no package numerics produce at the
-parameter ends.  Each test checks a gap's size and its order: the gap's
+Dynamical Systems*, 2007) and the quasi-static limit (O'Malley, *Singular
+Perturbation Methods for Ordinary Differential Equations*, 1991) give values
+no package numerics produce at the parameter ends.  Each test checks a gap's size and its order: the gap's
 ratio between two decades of mu, or between two windows of periods.  All on
 Phi = 1 + 0.5 sin 2 pi t with gamma = 1, where x_bar = P0^{-1}(sigma~/3) is
 the constant-supply equilibrium at mean Phi.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import ive
 
 from tumordyn import ModelParams, SinusoidSchedule, find_periodic, integrate, p0_inverse, pn, theta_n
 
@@ -40,6 +46,49 @@ def test_small_mu_theta2_tends_to_constant_supply(sigma_tilde, gap_1e4):
     gap = {mu: theta_n(find_periodic(_params(mu, sigma_tilde)), 2) / limit - 1.0 for mu in (1e-4, 1e-3)}
     assert gap[1e-4] == pytest.approx(gap_1e4, rel=1e-2)
     assert gap[1e-3] / gap[1e-4] == pytest.approx(100.0, rel=1e-2)
+
+
+def _bessel_ratio(n, r):
+    """P_n(r) = I_{n+3/2}(r) / (r I_{n+1/2}(r)), from scipy's scaled Bessel functions."""
+    return ive(n + 1.5, r) / (r * ive(n + 0.5, r))
+
+
+def _quasi_static_theta2(sigma_tilde):
+    """4 gamma Int R_qs^-3 / Int Phi R_qs^2 P0 (P1 - P2) over one period, with
+    R_qs = P0^{-1}(sigma~ / (3 Phi)) by brentq and each integral by quad."""
+    eps = 2.0**-52
+
+    def phi(t):
+        return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
+
+    def r_qs(t):
+        y = sigma_tilde / (3.0 * phi(t))
+        return brentq(lambda r: _bessel_ratio(0, r) - y, 1e-3, 1e3, xtol=1e-15, rtol=4.0 * eps)
+
+    def prolif(t):
+        r = r_qs(t)
+        return phi(t) * r * r * _bessel_ratio(0, r) * (_bessel_ratio(1, r) - _bessel_ratio(2, r))
+
+    tension = quad(lambda t: r_qs(t) ** -3, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return 4.0 * tension / quad(prolif, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def test_large_mu_theta2_tends_to_quasi_static():
+    """mu -> infinity with sigma~ < Phi_min: R* tends to the quasi-static orbit
+    R_qs, and theta_2 to its quadrature, with a relative gap O(1/mu^2).  Both
+    orbits are shot, so theta_2 comes from the Gauss-Legendre panels."""
+    limit = _quasi_static_theta2(0.45)
+    assert limit == pytest.approx(3.0336849363701767, rel=1e-12)  # mpmath at 20 digits
+    gap = {}
+    for mu in (3e3, 1e4):
+        orbit = find_periodic(_params(mu, 0.45))
+        assert orbit.method == "shooting"
+        gap[mu] = theta_n(orbit, 2) / limit - 1.0
+    assert gap[3e3] == pytest.approx(-1.208e-2, rel=1e-3)
+    assert gap[1e4] == pytest.approx(-1.171e-3, rel=1e-3)
+    # (10/3)^2 = 11.1 for a pure 1/mu^2 gap; the next order takes 7% of it here
+    assert gap[3e3] / gap[1e4] == pytest.approx(10.32, rel=1e-3)
+    assert gap[3e3] / gap[1e4] == pytest.approx((1e4 / 3e3) ** 2, rel=0.1)
 
 
 def test_extinction_rate_tends_to_averaged_deficit():

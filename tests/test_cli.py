@@ -154,9 +154,10 @@ class TestPeriodic:
 
 
 class TestBlasThreads:
-    """No artifact depends on the BLAS thread count: the orbit solve uses no
-    LAPACK, and the one LAPACK call, the Gauss-Legendre rule of a shot
-    orbit's integrals, gives the same bytes at one and two threads."""
+    """No artifact depends on the BLAS thread count: no package path calls
+    LAPACK, neither the orbit solve nor the Gauss-Legendre rule of a shot
+    orbit's integrals, a table of constants; each run gives the same bytes
+    at one and two threads."""
 
     @staticmethod
     def _runs(tmp_path, command, config):
@@ -190,7 +191,7 @@ class TestBlasThreads:
 
     def test_shot_stability_bytes(self, tmp_path):
         """A piecewise supply's orbit is shot, so its exponents take the
-        Gauss-Legendre panels, whose rule runs LAPACK's eigvalsh."""
+        Gauss-Legendre panels, whose rule is a table of constants."""
         config = dict(
             BASE,
             params={"mu": 1.0, "sigma_tilde": 0.5, "gamma": 1.0},

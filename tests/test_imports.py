@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tumordyn import stability
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "tumordyn"
 
 
@@ -44,17 +46,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_gauss_rule_built_on_first_use():
-    """The Gauss-Legendre rule (numpy's leggauss, which imports
-    numpy.polynomial and runs LAPACK) is built by the first fractional
-    window, not by the import, a collocated analysis, a rate fit or a solve;
-    gauss_nodes on [-1, 1] then gives leggauss's own bits."""
+def test_no_run_loads_numpy_polynomial():
+    """No package path imports numpy.polynomial (nor runs its LAPACK
+    eigvalsh): not the import, a collocated analysis, a rate fit, a solve, a
+    fractional window or a shot orbit's analysis, whose integrals take the
+    Gauss-Legendre panels."""
     code = """
 import json, sys
-import numpy as np
 import tumordyn.cli
 from tumordyn import (
-    ModelParams, SinusoidSchedule, analyze, convergence_rate, evolve_mode, integrate, stability,
+    ModelParams, PiecewiseLinearSchedule, SinusoidSchedule, analyze, convergence_rate, evolve_mode,
+    integrate,
 )
 
 seen = ["numpy.polynomial" in sys.modules]
@@ -66,10 +68,12 @@ integrate(params, 1.0, 10.0)
 seen.append("numpy.polynomial" in sys.modules)
 evolve_mode(orbit, 2, 0, 1.0, 0.5)
 seen.append("numpy.polynomial" in sys.modules)
-got = stability.gauss_nodes(np.array([-1.0, 1.0]))
-want = np.polynomial.legendre.leggauss(8)
-same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-print(json.dumps([orbit.method, seen, same]))
+knotted = PiecewiseLinearSchedule(
+    period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+)
+shot = analyze(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=knotted), n_max=8).orbit
+seen.append("numpy.polynomial" in sys.modules)
+print(json.dumps([orbit.method, shot.method, seen]))
 """
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -79,7 +83,7 @@ print(json.dumps([orbit.method, seen, same]))
         check=True,
         timeout=60,
     )
-    assert json.loads(out.stdout) == ["collocation", [False, False, True], True]
+    assert json.loads(out.stdout) == ["collocation", "shooting", [False, False, False, False]]
 
 
 def test_cli_import_loads_no_process_pool():
@@ -112,15 +116,23 @@ def _calls_and_defs(path):
     return _called(tree), defined
 
 
+def _float_constants(path):
+    """Every float literal in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is float}
+
+
 def test_one_home_for_quadrature_and_schedule_statistics():
-    """The Gauss-Legendre rule is built only in stability.py, and a schedule's
-    period statistics are attributes, with no stats()/_stats() accessor."""
+    """The Gauss-Legendre rule's constants appear only in stability.py, no
+    module names leggauss or numpy.polynomial, and a schedule's period
+    statistics are attributes, with no stats()/_stats() accessor."""
+    rule = set(stability._GAUSS_X + stability._GAUSS_W)
     for path in sorted(SRC.glob("*.py")):
         called, defined = _calls_and_defs(path)
-        if path.name != "stability.py":
-            assert "leggauss" not in called, path.name
+        names = _names(path) | set(imported_names(path))
+        assert not {n for n in names if "leggauss" in n or "polynomial" in n}, path.name
         assert not {"stats", "_stats"} & (called | defined), path.name
-    assert "leggauss" in _calls_and_defs(SRC / "stability.py")[0]
+        assert rule & _float_constants(path) == (rule if path.name == "stability.py" else set()), path.name
 
 
 def test_no_module_uses_numpy_linalg():

@@ -23,6 +23,7 @@ from tumordyn import (
     mu_star,
     p0,
     periodic,
+    perturbed_surface,
     pn,
     rhs,
     theta_n,
@@ -219,11 +220,65 @@ class TestEvolveMode:
         got = evolve_mode(default_orbit, n, 0, 1.0, t)
         assert got == pytest.approx(math.exp(sol.y[1, -1]), rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "mu, sigma_tilde, n, periods, method",
+        [(1.0, 0.5, 2, 1e6, "collocation"), (3e3, 0.45, 5, 2.37, "shooting")],
+        ids=["collocated", "shot"],
+    )
+    def test_past_float_range_is_signed_inf(self, sinusoid, mu, sigma_tilde, n, periods, method):
+        """An unstable mode's amplitude past the float range is inf with rho0's
+        sign (0 for rho0 = 0), as its Floquet multiplier is; a surface summing
+        that mode is a SolverError naming it."""
+        orbit = find_periodic(ModelParams(mu=mu, sigma_tilde=sigma_tilde, gamma=1.0, schedule=sinusoid))
+        assert orbit.method == method
+        t = periods * orbit.period
+        assert [evolve_mode(orbit, n, 0, rho0, t) for rho0 in (0.3, -2.0, 0.0)] == [math.inf, -math.inf, 0.0]
+        with pytest.raises(SolverError, match=rf"mode \(n, m\) = \({n}, 1\)"):
+            perturbed_surface(orbit, [(0, 0, 1.0), (n, 1, 1e-300)], 1e-3, t, [1.0], [0.0])
+
     def test_bad_inputs(self, default_orbit):
         with pytest.raises(ValueError):
             evolve_mode(default_orbit, 2, 3, 1.0, 0.5)
         with pytest.raises(ValueError):
             evolve_mode(default_orbit, 2, 0, 1.0, -0.1)
+
+
+class TestGaussRule:
+    """The 8-node Gauss-Legendre rule of every integral off the collocation
+    nodes, as gauss_nodes gives it on [-1, 1]."""
+
+    @staticmethod
+    def _rule():
+        return stability.gauss_nodes(np.array([-1.0, 1.0]))
+
+    def test_correctly_rounded(self):
+        """The nodes are the roots of P_8 and the weights 2/((1 - x^2) P_8'(x)^2),
+        from mpmath at 50 digits rounded to float, bit for bit."""
+        with mp.workdps(50):
+            # 128 P_8(x) = 6435 x^8 - 12012 x^6 + 6930 x^4 - 1260 x^2 + 35
+            roots = sorted(mp.polyroots([6435, 0, -12012, 0, 6930, 0, -1260, 0, 35], extraprec=100))
+            slopes = [8 * (x * mp.legendre(8, x) - mp.legendre(7, x)) / (x * x - 1) for x in roots]
+            weights = [2 / ((1 - x * x) * d * d) for x, d in zip(roots, slopes)]
+        x, w = self._rule()
+        assert x.tolist() == [float(r) for r in roots]
+        assert w.tolist() == [float(v) for v in weights]
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_integrates_monomials(self, k):
+        """Sum w x^k, summed exactly, is Int_{-1}^{1} x^k within (k + 1) units of
+        roundoff: one from the weight's rounding and k from the node's in x^k.
+        Odd powers cancel exactly, as the rule is mirrored."""
+        x, w = self._rule()
+        with mp.workdps(50):
+            got = mp.fsum(mp.mpf(wi) * mp.mpf(xi) ** k for xi, wi in zip(x.tolist(), w.tolist()))
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            assert abs(got - exact) <= (k + 1) * 2.0**-53 * exact
+
+    def test_within_64_ulp_of_leggauss(self):
+        x, w = self._rule()
+        lx, lw = np.polynomial.legendre.leggauss(8)
+        assert np.all(np.abs(x - lx) <= 64 * np.spacing(np.abs(lx)))
+        assert np.all(np.abs(w - lw) <= 64 * np.spacing(lw))
 
 
 class TestDecayBound:

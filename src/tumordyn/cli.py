@@ -21,7 +21,7 @@ import numpy as np
 
 from . import periodic as periodic_mod
 from . import radial, stability
-from .errors import NoPeriodicSolutionError, ScheduleError, TumordynError
+from .errors import ScheduleError, TumordynError
 from .nutrient import schedule_from_spec
 from .radial import Classification, ModelParams
 
@@ -394,9 +394,6 @@ def main(argv=None) -> int:
     except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoPeriodicSolutionError as exc:
-        print(f"error: no positive periodic solution ({exc})", file=sys.stderr)
-        return 1
     except TumordynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ orbit.  A supply without ``breakpoints`` (constant, sinusoid, Fourier, or a
 two-knot table, which is constant) first tries Fourier collocation of
 u = log R (``_collocate``, each step the linearisation's periodic Green's
 function ``_green``), kept if it lies in the bracket and one period from it,
-or from one Newton step on the map (slope exp(-Lambda_0 T) from the nodes),
+or from one Newton step on the map (slope exp(-Lambda_0 T) from its last step),
 meets the residual gate.  Otherwise, and for every kinked supply, the
 bracket signs are guaranteed, so the fixed point is a root of F(R0) - R0 found
 by Brent's method (``roots.find_root``), as accurate as the map's error times
@@ -130,8 +130,8 @@ class PeriodicSolution:
 
 def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolution:
     """Locate the fixed point of the Poincare map and store one dense period:
-    the collocation root r, r + (F(r) - r) / (1 - F'), or Brent's root, the
-    first to meet |F(R0) - R0| <= tol * min(1, R0)."""
+    the collocation root r, r + (F(r) - r) / (1 - F') with the collocation's
+    own log F', or Brent's root, the first to meet |F(R0) - R0| <= tol * min(1, R0)."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     x_bar, x2 = bracket(params)
@@ -142,7 +142,7 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
         maps += 1
         return (poincare_map(params, r0) - r0) / min(1.0, r0)
 
-    r, node_radii, steps = (None, None, 0) if params.schedule.breakpoints else _collocate(params, tol)
+    r, node_radii, steps, log_slope = (None, None, 0, None) if params.schedule.breakpoints else _collocate(params, tol)
     # r <= x2 as P0(r) >= P0(x2) up to p0_inverse's tolerance: under a
     # constant supply the fixed point is x2
     y2 = params.sigma_tilde / (3.0 * params.schedule.maximum)
@@ -153,8 +153,6 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
     method = "collocation"
     g = G(r) if r is not None and inside(r) else math.inf
     if tol < abs(g) < math.inf:  # a near miss: one Newton step on F
-        phi = params.schedule(np.arange(node_radii.size) * (params.period / node_radii.size))
-        log_slope = params.period * float(np.mean(_diagonal(params.mu, phi, node_radii)))
         r -= g * min(1.0, r) / math.expm1(log_slope)  # F' = exp(log_slope) = exp(-Lambda_0 T)
         g = G(r) if inside(r) else math.inf
     if not abs(g) <= tol:
@@ -185,18 +183,19 @@ def find_periodic(params: ModelParams, tol: float = DEFAULT_TOL) -> PeriodicSolu
     return orbit
 
 
-def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarray | None, int]:
-    """(R*(0), the M node radii exp(u_j), steps) by Fourier collocation of
-    u = log R; (None, None, steps) if it fails.
+def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarray | None, int, float | None]:
+    """(R*(0), the M node radii exp(u_j), steps, log F' = -Lambda_0 T) by
+    Fourier collocation of u = log R; (None, None, steps, None) if it fails.
 
-    Steps u -= _green(residual, d/du of the right side) solve D u = mu (Phi
-    P0(e^u) - sigma_tilde/3) at M equispaced nodes (D: Trefethen, Spectral
-    Methods in MATLAB, ch. 3) until one below _STALL_FROM stops halving.  M
-    doubles from 32 while that step exceeds tol * min(1, 1/R(0)) or u's
-    coefficients from wave number 3M/8 on exceed _TAIL_TOL * max(1, largest),
-    giving up at 256, on a 4-fold step growth above _STALL_FROM, or when the
-    tail's decay per doubling falls short.  Never raises; uses no LAPACK,
-    whose bits depend on the BLAS thread count.
+    Steps u -= _green(residual, a), a = d/du of the right side (log F' is T
+    mean(a) at the last step), solve D u = mu (Phi P0(e^u) - sigma_tilde/3)
+    at M equispaced nodes (D: Trefethen, Spectral Methods in MATLAB, ch. 3)
+    until one below _STALL_FROM stops halving.  M doubles from 32 while that
+    step exceeds tol * min(1, 1/R(0)) or u's coefficients from wave number
+    3M/8 on exceed _TAIL_TOL * max(1, largest), giving up at 256, on a 4-fold
+    step growth above _STALL_FROM, or when the tail's decay per doubling falls
+    short.  Never raises; uses no LAPACK, whose bits depend on the BLAS thread
+    count.
     """
     T, mu, s3, schedule = params.period, params.mu, params.sigma_tilde / 3.0, params.schedule
     u, tail_prev, steps = None, None, 0
@@ -211,30 +210,30 @@ def _collocate(params: ModelParams, tol: float) -> tuple[float | None, np.ndarra
             for _ in range(_NEWTON_MAX):
                 R = np.exp(u)
                 if not np.all((R > 0.0) & (R < math.inf)):
-                    return None, None, steps
+                    return None, None, steps, None
                 # D u without u's mean rounds at the size of u's variation
                 F = (D * (u - u.mean())).sum(axis=1) - mu * (phi * p0(R) - s3)
-                du = _green(F, _diagonal(mu, phi, R), T)
+                du = _green(F, a := _diagonal(mu, phi, R), T)
                 step = float(np.max(np.abs(du)))
                 steps += 1
                 if not math.isfinite(step) or (prev > _STALL_FROM and step > 4.0 * prev):
-                    return None, None, steps  # non-finite, or diverging
+                    return None, None, steps, None  # non-finite, or diverging
                 u = u - du
                 if prev <= _STALL_FROM and not step < 0.5 * prev:
                     break
                 prev = step
             r = float(np.exp(u[0]))
             if not 0.0 < r < math.inf:
-                return None, None, steps
+                return None, None, steps, None
             c = np.abs(np.fft.rfft(u))
             tail = float(np.max(c[3 * m // 8:])) / max(m, float(np.max(c)))
             if tail <= _TAIL_TOL and step <= tol * min(1.0, 1.0 / r):
-                return r, np.exp(u), steps
+                return r, np.exp(u), steps, T * float(np.mean(a))
             # the decay since the last M, kept up to the cap, must reach _TAIL_TOL
             if tail_prev and tail * (tail / tail_prev) ** math.log2(_COLLOCATION_NODES[-1] / m) > _TAIL_TOL:
-                return None, None, steps
+                return None, None, steps, None
             tail_prev = tail
-    return None, None, steps
+    return None, None, steps, None
 
 
 def _interpolate(x: np.ndarray, n: int) -> np.ndarray:

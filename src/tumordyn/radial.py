@@ -99,13 +99,6 @@ class Trajectory:
     t1 = property(lambda self: float(self._interp.ts[-1]))
     steps = property(lambda self: len(self._interp.ts) - 1)
 
-    def __call__(self, t):
-        """R at a time (a float) or at an array of times (an array of that shape)."""
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= -1e-12) & (t <= self.t1 + 1e-12)):  # NaN is outside
-            raise ValueError("evaluation time outside the integrated span")
-        return self._interp(np.clip(t, 0.0, self.t1))
-
     def resample(self, t_eval) -> Trajectory:
         """This solve read at the strictly increasing 1-D times t_eval within
         [0, t1].  Where a solve is read never moves a step, so these are
@@ -114,7 +107,7 @@ class Trajectory:
         inside = t_eval.ndim == 1 and np.all((t_eval >= 0.0) & (t_eval <= self.t1))
         if not (inside and np.all(np.diff(t_eval) > 0.0)):
             raise ValueError("t_eval must be a strictly increasing 1-D array of times within [0, t1]")
-        return replace(self, times=t_eval, radii=_require_positive(self(t_eval)))
+        return replace(self, times=t_eval, radii=_require_positive(self._interp(t_eval)))
 
 
 def _require_positive(radii: np.ndarray) -> np.ndarray:

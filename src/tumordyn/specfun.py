@@ -1,14 +1,15 @@
 """Ratio functions of half-integer modified Bessel functions.
 
 The workhorse is ``pn(n, r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r))``.  Every
-order comes from one backward recurrence, P_{n-1} = 1 / (2n + 1 + r^2 P_n)
-(the Gauss continued fraction summed from its tail), started from P = 0 far
-enough above the wanted orders.  Backward is the stable direction (Gautschi
-1967), and Amos's (1974) bound r P_k < exp(-asinh((k+1)/r)) fixes how far.
-No I value is formed, so nothing overflows at large order or argument, and
-near the origin r^2 P_n underflows to the limit 1/(2n+3).  P_0 takes the
-closed form from r = 0.3 and below it the same recurrence from one fixed
-depth, the one r = 0.3 needs, so its bits never depend on a batch.
+order of a float or an array comes from one backward recurrence, ``_ratios``:
+P_{n-1} = 1 / (2n + 1 + r^2 P_n), the Gauss continued fraction summed from
+its tail, started from P = 0 far enough above the wanted orders.  Backward
+is the stable direction (Gautschi 1967), and Amos's (1974) bound
+r P_k < exp(-asinh((k+1)/r)) fixes how far.  No I value is formed, so
+nothing overflows at large order or argument, and near the origin r^2 P_n
+underflows to the limit 1/(2n+3).  P_0 takes the closed form from r = 0.3
+and below it the same recurrence from one fixed depth, the one r = 0.3
+needs, so its bits never depend on a batch.
 
 All evaluators accept scalars or numpy arrays of positive arguments.
 """
@@ -83,33 +84,20 @@ def _start_depth(n_hi: int, r_max: float) -> int:
     return k - n_hi
 
 
-def _ratios(n_hi: int, n_lo: int, r: np.ndarray):
-    """Yield P_n(r) for n = n_hi, n_hi - 1, ..., n_lo from one backward pass.
-
-    The start depth is set by n_hi and the batch's largest r, leaving an
-    error below 2**-64, yet a value can move in its last bits with the batch
-    or n_hi (P_5(2958.2378099657353) by 3 ulp next to r = 5000).  Each row
-    is one buffer, overwritten when the next row is made.
+def _ratios(n_hi: int, n_lo: int, r, depth: int | None = None):
+    """Yield P_n(r) for n = n_hi, n_hi - 1, ..., n_lo, each a fresh value, from
+    one backward pass over a float or an array (the same bits).  It starts
+    depth orders above n_hi, by default the depth n_hi and the largest r
+    need, leaving an error below 2**-64, yet a value can move in its last bits
+    with the batch or n_hi (P_5(2958.2378099657353) by 3 ulp next to r = 5000).
     """
-    # an empty batch runs as if r = 1
-    depth = _start_depth(n_hi, float(r.max()) if r.size else 1.0)
-    r2 = r * r
-    p = np.zeros_like(r)
+    if depth is None:  # an empty batch runs as if r = 1
+        depth = _start_depth(n_hi, float(np.max(r)) if np.size(r) else 1.0)
+    p, r2 = 0.0, r * r
     for m in range(n_hi + depth, n_lo, -1):  # P_m -> P_{m-1}
-        np.multiply(r2, p, out=p)
-        np.add(p, 2.0 * m + 1.0, out=p)
-        np.divide(1.0, p, out=p)
+        p = 1.0 / (r2 * p + (2.0 * m + 1.0))
         if m <= n_hi + 1:
             yield p
-
-
-def _recur(n: int, depth: int, r):
-    """P_n of a float or an array by the recurrence started depth orders
-    above n, with the IEEE operations of ``_ratios``: the same bits."""
-    p, r2 = 0.0, r * r
-    for m in range(n + depth, n, -1):
-        p = 1.0 / (r2 * p + (2.0 * m + 1.0))
-    return p
 
 
 _P0_DEPTH = _start_depth(0, 0.3)  # below r = 0.3 P_0 recurs from here: 8 orders
@@ -119,11 +107,11 @@ def pn(n: int, r):
     """P_n(r) = I_{n+3/2}(r) / (r * I_{n+1/2}(r)).
 
     Strictly decreasing in both n and r, with 0 < P_n(r) <= 1/(2n+3).
-    A float runs the same recurrence in float arithmetic: an array's bits.
+    A float runs ``_ratios`` in float arithmetic: an array's bits.
     """
     n = _check_order(n)
     if isinstance(r, float) and 0.0 < r < math.inf:
-        return _recur(n, _start_depth(n, r), r)
+        return next(_ratios(n, n, r))
     arr = _as_positive_array(r)
     out = next(_ratios(n, n, np.atleast_1d(arr)))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
@@ -144,7 +132,7 @@ def p0_float(r: float, _tanh=np.tanh) -> float:
     ValueError unless r is finite and positive."""
     if not 0.0 < r < math.inf:
         raise ValueError("argument r must be finite and positive")
-    return _recur(0, _P0_DEPTH, r) if r < 0.3 else _p0_closed(r, float(_tanh(r)))
+    return next(_ratios(0, 0, r, _P0_DEPTH)) if r < 0.3 else _p0_closed(r, float(_tanh(r)))
 
 
 def p0(r):
@@ -164,7 +152,7 @@ def p0(r):
     out = np.empty_like(a)
     small = a < 0.3
     if np.any(small):  # 24 array operations, even on an empty batch
-        out[small] = _recur(0, _P0_DEPTH, a[small])
+        out[small] = next(_ratios(0, 0, a[small], _P0_DEPTH))
     rl = a[~small]
     out[~small] = _p0_closed(rl, np.tanh(rl))
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
@@ -192,7 +180,7 @@ def pn_derivative(n: int, r):
     rl, rs = a[large], a[~large]
     with np.errstate(over="ignore"):  # r^3 overflows past r ~ 5.6e102, and 2/inf is 0
         out[large] = 2.0 / rl**3 - 1.0 / (rl * rl * np.tanh(rl))
-    p_next, p = (row.copy() for row in _ratios(n + 1, n, rs))
+    p_next, p = _ratios(n + 1, n, rs)
     out[~large] = rs * p * (p_next - p)
     return float(out[0]) if np.isscalar(r) or arr.ndim == 0 else out.reshape(arr.shape)
 

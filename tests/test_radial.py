@@ -133,7 +133,7 @@ class TestIntegrate:
 
     def test_dense_output_matches_nodes(self, default_params):
         traj = integrate(default_params, 1.0, 3.0)
-        assert traj(traj.times[5]) == pytest.approx(traj.radii[5], rel=1e-12)
+        assert traj.resample(traj.times[5:6]).radii[0] == pytest.approx(traj.radii[5], rel=1e-12)
 
     def test_t_eval_grid(self, default_params):
         t_eval = np.linspace(0.0, 2.0, 11)
@@ -152,7 +152,7 @@ class TestIntegrate:
     def test_tolerance_controls_accuracy(self, default_params):
         loose = integrate(default_params, 1.0, 5.0, rtol=1e-6, atol=1e-8)
         tight = integrate(default_params, 1.0, 5.0, rtol=1e-12, atol=1e-14)
-        assert loose(5.0) == pytest.approx(tight(5.0), rel=1e-5)
+        assert loose.radii[-1] == pytest.approx(tight.radii[-1], rel=1e-5)
         assert loose.steps < tight.steps
 
     def test_bad_inputs(self, default_params):
@@ -179,24 +179,26 @@ class TestIntegrate:
 
     def test_float_read_bit_equal_to_array_read(self, default_params):
         """One time read as a float, an np.float64 or a 0-d array gives the
-        bits it has inside an array, through the dense solution and the
-        trajectory alike: at step ends, mid-step and out to the span's ends."""
+        bits it has inside an array, through the dense solution: at step
+        ends, mid-step and next to the span's ends."""
         traj = integrate(default_params, 1.0, 3.0)
         ends = traj.times
-        t = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), [1e-13, 3.0 + 1e-13]])
-        t = t[t <= 3.0 + 1e-12]
-        for read in (traj._interp, traj):
-            bulk = read(t)
-            for x, want in zip(t.tolist(), bulk.tolist()):
-                for one in (x, np.float64(x), np.array(x)):
-                    got = read(one)
-                    assert type(got) is float and _bits(got) == _bits(want), (read, x)
+        t = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), [1e-13, 3.0 - 1e-13]])
+        bulk = traj._interp(t)
+        for x, want in zip(t.tolist(), bulk.tolist()):
+            for one in (x, np.float64(x), np.array(x)):
+                got = traj._interp(one)
+                assert type(got) is float and _bits(got) == _bits(want), x
+        assert np.array_equal(traj.resample(np.unique(t)).radii, traj._interp(np.unique(t)))
 
     def test_out_of_span_evaluation(self, default_params):
+        # resample, a solve's one read, takes exactly [0, t1]: no slack past either end
         traj = integrate(default_params, 1.0, 1.0)
-        for t in (2.0, math.nan, np.array([0.5, math.nan]), [[0.5], [math.nan]]):
-            with pytest.raises(ValueError, match="outside the integrated span"):
-                traj(t)
+        assert traj.resample([0.0, 1.0]).radii.tolist() == traj._interp(np.array([0.0, 1.0])).tolist()
+        for t in ([0.5, 2.0], [0.5, 1.0 + 1e-12], [-1e-300, 0.5], [math.nan], [0.5, math.nan], [[0.5], [0.75]]):
+            with pytest.raises(ValueError, match=r"strictly increasing 1-D array of times within \[0, t1\]"):
+                traj.resample(t)
+        assert not callable(traj)
 
 
 class TestClassification:

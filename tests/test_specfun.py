@@ -110,6 +110,25 @@ class TestPnFloatPath:
             pn(2, bad)
 
 
+class TestRatios:
+    """``_ratios`` is the one backward recurrence, for a float and an array alike."""
+
+    @pytest.mark.parametrize("depth", [None, specfun._P0_DEPTH], ids=["own-depth", "p0-depth"])
+    def test_float_and_one_element_array_same_bits(self, depth):
+        for r in np.logspace(-8, 4, 61).tolist():
+            as_float = list(_ratios(64, 0, r, depth))
+            assert all(type(x) is float for x in as_float)
+            as_array = [row[0] for row in _ratios(64, 0, np.array([r]), depth)]
+            assert np.array_equal(_bits(as_float), _bits(as_array)), r
+
+    def test_yielded_row_survives_the_next_order(self):
+        rows = _ratios(5, 0, np.logspace(-2, 2, 9))
+        first = next(rows)
+        kept = first.copy()
+        for _ in rows:
+            assert np.array_equal(_bits(first), _bits(kept))
+
+
 class TestPn:
     def test_matches_p0(self):
         for r in (0.1, 1.0, 5.0, 20.0):
@@ -173,7 +192,7 @@ class TestPn:
         r = np.logspace(math.log10(0.5), math.log10(50.0), 200)
         alone = np.array([pn(2, x) for x in r])
         with_large = pn(2, np.append(r, 3000.0))[:-1]
-        all_orders = [row.copy() for row in _ratios(64, 0, r)][64 - 2]
+        all_orders = list(_ratios(64, 0, r))[64 - 2]
         assert np.array_equal(_bits(alone), _bits(with_large))
         assert np.array_equal(_bits(alone), _bits(all_orders))
 
@@ -239,7 +258,7 @@ class TestP0Derivative:
     def test_below_switch_is_pn_derivative(self):
         # below r = 20 the bits of r P0 (P1 - P0) from one recurrence pass
         r = np.append(np.logspace(-4, math.log10(20.0), 50)[:-1], np.nextafter(20.0, 0.0))
-        p1, p0_ = (row.copy() for row in _ratios(1, 0, r))
+        p1, p0_ = _ratios(1, 0, r)
         assert np.array_equal(_bits(pn_derivative(0, r)), _bits(r * p0_ * (p1 - p0_)))
         # a batch that straddles the switch keeps the small value's bits
         assert pn_derivative(0, np.array([1.3, 6e9]))[0] == pn_derivative(0, 1.3)

@@ -95,7 +95,7 @@ class TestModeExponent:
         # Lambda_1 is P1 - P1 at every node, so it is 0.0 on a shot orbit too
         schedule = SinusoidSchedule(period=0.7268, mean_level=1.0, amplitude=0.5)
         params = ModelParams(mu=0.0471, sigma_tilde=0.00815, gamma=1.0, schedule=schedule)
-        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, None, 0))
+        monkeypatch.setattr(periodic, "_collocate", lambda params, tol: (None, None, 0, None))
         report = analyze(params, n_max=64)
         assert report.orbit.method == "shooting"
         assert report.exponents[1].lambda_bar == 0.0
@@ -291,7 +291,9 @@ class TestDecayBound:
 
     def test_per_mode_equals_mode_exponent(self, default_orbit):
         report = mode_decay_bound_check(default_orbit, n_range=range(2, 41))
-        assert report.theta2 == theta_n(default_orbit, 2)
+        # the floor reads theta_2 from theta_n, its one spelling
+        theta2, mu, orbit = theta_n(default_orbit, 2), default_orbit.params.mu, default_orbit
+        assert report.candidate_floor == 0.25 * (mu / theta2) * (theta2 / mu - 1.0) * orbit.params.gamma / orbit.R_max**3
         for n, value in report.per_mode:
             assert value == mode_exponent(default_orbit, n).lambda_bar / (n**3 + 1)
 

@@ -38,7 +38,8 @@ SECTION_KEYS = {
 # machine.  analyze evaluates every order up to n_max (~0.15 s at the limit on
 # a collocated orbit, ~0.45 s on a shot one); simulate and the periodic rate
 # fit integrate every period they are given (~0.7 ms per period at mu = 1, ~4
-# ms at mu = 100 at simulate's tolerances, ~2.5x that at the rate fit's); and
+# ms at mu = 100 at simulate's tolerances, at most ~1.5x that in the rate fit's
+# deviation solve); and
 # simulate writes ~30 bytes per sample (~2 us each).  So every count is bounded.
 _N_MAX_LIMIT = 10_000
 _PERIODS_LIMIT = 10_000

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 
 import numpy as np
 
@@ -76,16 +77,27 @@ class DenseSolution:
     A read is elementwise: each time takes its step's coefficients and
     evaluates the quartic by Horner's rule, so a time's value does not depend
     on the other times read with it, and a float, a 0-d array and any
-    element of an array of any shape or order give the same bits.
+    element of an array of any shape or order give the same bits.  A Python
+    float takes the same expression in float arithmetic, on the solve's own
+    lists of step ends and values, which spares it numpy's per-call cost.
     """
 
     def __init__(self, ts: list, ys: list, qs):
         self.ts = np.array(ts)
         self.ys = np.array(ys)
         self._qs = qs  # row i: the dense coefficients of step i
+        self._steps = ts, ys, memoryview(qs).cast("B").cast("d")  # for the float read
 
     def __call__(self, t):
         """R at a time (a float) or at an array of times (an array of that shape)."""
+        if type(t) is float:
+            ts, ys, q = self._steps
+            i = bisect_left(ts, t, 1, len(ts) - 1) - 1  # searchsorted(ts[1:-1], t)
+            t_old = ts[i]
+            h = ts[i + 1] - t_old
+            x = (t - t_old) / h
+            j = 4 * i
+            return h * x * (q[j] + x * (q[j + 1] + x * (q[j + 2] + x * q[j + 3]))) + ys[i]
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.ts[1:-1], t)  # the step index, clipped to the first and last
         t_old = self.ts[i]

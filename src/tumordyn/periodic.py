@@ -23,7 +23,10 @@ import numpy as np
 
 from .dopri import DenseSolution
 from .errors import InsufficientDataError, NoPeriodicSolutionError, SolverError
-from .radial import Classification, ModelParams, Trajectory, _require_positive, classify_radial, integrate, rhs
+from .radial import (
+    Classification, ModelParams, Trajectory, _deviation_side, _initial_radius, _require_positive, _solve,
+    classify_radial, integrate, rhs,
+)
 from .roots import find_root, refine_extremum
 from .specfun import P0_INVERSE_FTOL, p0, p0_inverse, pn_derivative
 
@@ -31,9 +34,9 @@ POINCARE_RTOL = 1e-12
 POINCARE_ATOL = 1e-14
 DEFAULT_TOL = 1e-11
 DEFAULT_SEGMENTS = 1024
-_RADIUS_MEMO = 16  # float times at which an orbit keeps R*(t)
 RATE_BURN_IN = 10  # periods the rate fit leaves out by default
 RATE_FIT_MARKS = 4  # period marks it fits at the least
+_RATE_ATOL = 1e-14  # on v, above its right side's cancellation floor
 # collocation: node counts in turn, steps per count, the step size below
 # which a step that stops halving ends the count, and the resolved spectral tail
 _COLLOCATION_NODES = (32, 64, 128, 256)
@@ -97,7 +100,7 @@ class PeriodicSolution:
     encloses R_star0; ``residual`` is |R*(T) - R_star0|.  The samples ``times``
     (DEFAULT_SEGMENTS equal steps of [0, T]), ``radii`` (checked positive), R_min and
     R_max are read from the dense period when first asked for and kept; they and the
-    memos (R*(t), ``stability``'s mode integrals) are not init fields, so
+    memo of ``stability``'s mode integrals are not init fields, so
     ``dataclasses.replace`` starts empty.
     """
 
@@ -109,15 +112,12 @@ class PeriodicSolution:
     newton_steps: int = field(compare=False)
     node_radii: np.ndarray = field(compare=False, repr=False)
     _mode_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _radius_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t):
-        """R*(t) for any t, wrapped into the stored period; the first _RADIUS_MEMO float reads are kept."""
+        """R*(t) for a time or an array of times, wrapped into the stored period."""
         if type(t) is not float:
-            return self._interp(np.asarray(t, dtype=float) % self.period)
-        if t not in self._radius_memo and len(self._radius_memo) < _RADIUS_MEMO:
-            self._radius_memo[t] = self._interp(t % self.period)
-        return self._radius_memo.get(t) or self._interp(t % self.period)
+            t = np.asarray(t, dtype=float)
+        return self._interp(t % self.period)
 
     period = functools.cached_property(lambda self: self.params.period)
     residual = property(lambda self: abs(self._interp(self.period) - self.R_star0))
@@ -298,12 +298,16 @@ def convergence_rate(
     -slope / T) and compare with the analytic contraction bound
     mu*Phi_min*M_min*R_min*min(1, R0/R*(0)).
 
+    The solve is of the deviation v = log(R / R*(t)) (``radial._deviation_side``),
+    an exact rewrite of the radius ODE, so each mark R*(0) expm1(v(kT)) is
+    accurate relative to itself: the tolerance on v is rtol_v = min(1e-8,
+    max(POINCARE_RTOL, 1e-6 Lambda_0 T)), below the contraction per period,
+    with Lambda_0 T from the orbit's samples, and atol _RATE_ATOL.
     M_min is the minimum of -P0' over the comparison interval
     [min(R0/R*(0),1)*R_min, max(R0/R*(0),1)*R_max].  The first burn_in
     periods are excluded from the fit: the approach is exponential only
     asymptotically, and the early nonlinear transient bends the log plot.
-    So is every mark from the first at or below the rounding floor
-    1e-12 R*(0) on, as the difference there is noise.
+    So is every mark from the first at or below the floor 1e-12 R*(0) on.
     """
     params, R_star0 = orbit.params, orbit.R_star0
     if abs(R0 - R_star0) <= 1e-9 * R_star0:
@@ -316,10 +320,14 @@ def convergence_rate(
             f"after a {burn_in}-period burn-in"
         )
 
+    v0 = math.log(_initial_radius(R0)) - math.log(R_star0)  # R0 / R*(0) may overflow
     T = params.period
-    t_marks = np.arange(n_periods + 1) * T
-    traj = integrate(params, R0, n_periods * T, rtol=POINCARE_RTOL, atol=POINCARE_ATOL)
-    diffs = traj.resample(t_marks).radii - R_star0
+    # Lambda_0 T: -T times the period mean of _diagonal on the orbit's samples
+    times, radii = orbit.times[:-1], orbit.radii[:-1]
+    contraction = -T * float(np.mean(_diagonal(params.mu, params.schedule(times), radii)))
+    rtol = min(1e-8, max(POINCARE_RTOL, 1e-6 * contraction))
+    deviation, _ = _solve(params, _deviation_side(params, orbit._interp), v0, n_periods * T, rtol, _RATE_ATOL)
+    diffs = R_star0 * np.expm1(deviation(np.arange(n_periods + 1) * T))
     one_sided = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
 
     floor = np.abs(diffs) <= 1e-12 * R_star0

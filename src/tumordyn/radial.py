@@ -77,6 +77,26 @@ def _right_side(params: ModelParams):
     return f
 
 
+def _deviation_side(params: ModelParams, radius):
+    """The right side of float (t, v), v = log(R / R*(t)) with R*(t) =
+    radius(t mod T): mu Phi (P0(R* e^v) - P0(R*)), the radius ODE less its
+    value on R*, whose death terms cancel.  Phi, R* and P0(R*) at the latest
+    t are kept, as in _right_side; OverflowError once e^v passes the floats."""
+    mu, T = params.mu, params.period
+    phi, P0, exp = params.schedule._value, p0_float, math.exp
+    t_kept = rate = r = p = math.nan
+
+    def f(t, v):
+        nonlocal t_kept, rate, r, p
+        if t != t_kept:
+            tau = t % T
+            r = radius(tau)
+            t_kept, rate, p = t, mu * phi(tau), P0(r)
+        return rate * (P0(r * exp(v)) - p)
+
+    return f
+
+
 def rhs(params: ModelParams, t: float, R: float) -> float:
     """Right side of the radius ODE; exactly 0 at R = 0."""
     if R < 0.0:
@@ -116,6 +136,26 @@ def _require_positive(radii: np.ndarray) -> np.ndarray:
     return radii
 
 
+def _initial_radius(R0) -> float:
+    """R0 as a float; ValueError unless it is positive and finite."""
+    if not (R0 > 0.0 and math.isfinite(R0)):
+        raise ValueError(f"initial radius must be positive and finite, got {R0}")
+    return float(R0)
+
+
+def _solve(params: ModelParams, fun, y0: float, t1: float, rtol: float, atol: float):
+    """(dense solution, fun calls) of y' = fun(t, y) from y(0) = y0 to t1:
+    ``dopri.solve`` under a cap of _MAX_STEPS_PER_PERIOD steps per period
+    started, with a radius past the floats (P0's ValueError, exp's
+    OverflowError) a SolverError."""
+    max_steps = _MAX_STEPS_PER_PERIOD * -(-t1 // params.period)  # ceil, inf past the floats
+    try:
+        with np.errstate(over="ignore"):  # an overflow ends the solve below
+            return dopri.solve(fun, 0.0, y0, t1, rtol, atol, max_steps)
+    except (ValueError, OverflowError) as exc:
+        raise SolverError("integration failed: the radius left the floating-point range") from exc
+
+
 def integrate(
     params: ModelParams,
     R0: float,
@@ -131,20 +171,12 @@ def integrate(
     through zero.  A radius that overflows, or a solve that needs more than
     _MAX_STEPS_PER_PERIOD steps per period started, is a SolverError.
     """
-    if not (R0 > 0.0 and math.isfinite(R0)):
-        raise ValueError(f"initial radius must be positive and finite, got {R0}")
+    R0 = _initial_radius(R0)
     if not (t1 > 0.0 and math.isfinite(t1)):
         raise ValueError(f"t1 must be positive and finite, got {t1}")
     if not atol > 0.0:
         raise ValueError(f"atol must be positive, got {atol}")
-    max_steps = _MAX_STEPS_PER_PERIOD * -(-t1 // params.period)  # ceil, inf past the floats
-    try:
-        with np.errstate(over="ignore"):  # an overflow ends the solve below
-            interp, nfev = dopri.solve(
-                _right_side(params), 0.0, float(R0), float(t1), rtol, atol, max_steps
-            )
-    except ValueError as exc:  # P0 of an infinite radius
-        raise SolverError("integration failed: the radius left the floating-point range") from exc
+    interp, nfev = _solve(params, _right_side(params), R0, float(t1), rtol, atol)
     return Trajectory(
         times=interp.ts,
         radii=_require_positive(interp.ys),

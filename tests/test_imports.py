@@ -181,7 +181,7 @@ def test_one_home_for_p0_and_phi_formulas():
 
 
 def test_dopri_solve_has_one_caller():
-    """radial.integrate is the only caller of dopri.solve."""
+    """radial._solve, under integrate's guards, is the only caller of dopri.solve."""
     callers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -197,7 +197,7 @@ def test_dopri_solve_has_one_caller():
                         and getattr(call.func.value, "id", None) == "dopri"
                     ):
                         callers.append((path.name, node.name))
-    assert callers == [("radial.py", "integrate")]
+    assert callers == [("radial.py", "_solve")]
 
 
 def _params(fn):
@@ -244,10 +244,10 @@ def _function(path, name, cls=None):
 
 def test_one_dense_read_formula():
     """A dense read is one elementwise formula: no grouped or one-row dot
-    products, no sort and no float-only bisect; find_periodic reads R(T)
-    directly, not through a grid's last step."""
+    products and no sort; find_periodic reads R(T) directly, not through a
+    grid's last step."""
     read = _called(_function(SRC / "dopri.py", "__call__", cls="DenseSolution"))
-    assert not {"dot", "argsort", "bisect_left"} & read
+    assert not {"dot", "argsort"} & read
     assert "linspace" not in _called(_function(SRC / "periodic.py", "find_periodic"))
 
 

@@ -28,6 +28,12 @@ from tumordyn import (
 from tumordyn import cli, dopri, radial
 from tumordyn.stability import gauss_nodes, mode_exponent, mu_star
 
+SINUSOID = SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5)
+FOURIER = FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.25, 0.08), sin_coeffs=(0.15, -0.05))
+PIECEWISE = PiecewiseLinearSchedule(
+    period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
+)
+
 
 class TestBracket:
     def test_contains_fixed_point(self, default_params, default_orbit):
@@ -81,18 +87,25 @@ class TestFindPeriodic:
         assert default_orbit(0.25) == pytest.approx(default_orbit(7.25), rel=1e-10)
         assert default_orbit(0.0) == pytest.approx(default_orbit.R_star0, rel=1e-12)
 
-    def test_float_read_bit_equal_to_array_read(self, default_orbit):
-        """R*(t) for one time, a float, an np.float64 or a 0-d array, has the
-        bits of that time inside an array: at step ends, mid-step and past T."""
-        ends = default_orbit.times
-        period = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])])
-        t = np.concatenate([period, period + 1.0, period + 7.0, [0.25, 7.25, 1e3 + 0.1]])
-        bulk = default_orbit(t)
-        for x, want in zip(t.tolist(), bulk.tolist()):
-            for one in (x, np.float64(x), np.array(x)):
-                got = default_orbit(one)
-                assert type(got) is float
-                assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), x
+    def test_float_read_bit_equal_to_array_read(self):
+        """One time read as a float, an np.float64 or a 0-d array has the bits
+        of that time inside an array, for each supply form: through the dense
+        period at its step ends, mid-step, the knots, 0 and T, just outside
+        [0, T] and at NaN, and through the orbit at those times past T."""
+        for schedule in (ConstantSchedule(period=1.0, value=1.0), SINUSOID, FOURIER, PIECEWISE):
+            orbit = find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=schedule))
+            T, ends = orbit.period, orbit._interp.ts
+            outside = [-1e-9, math.nextafter(0.0, -1.0), math.nextafter(T, 2.0 * T), T + 1e-9, math.nan]
+            period = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), schedule.breakpoints, [0.0, T]])
+            dense = np.concatenate([period, outside])
+            wrapped = np.concatenate([dense, period + T, period + 7.0 * T, [1e3 + 0.1]])
+            for read, t in ((orbit._interp, dense), (orbit, wrapped)):
+                bulk = read(t)
+                for x, want in zip(t.tolist(), bulk.tolist()):
+                    for one in (x, np.float64(x), np.array(x)):
+                        got = read(one)
+                        assert type(got) is float
+                        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (schedule, x)
 
     def test_map_evaluations(self, default_params, monkeypatch):
         calls = []
@@ -177,13 +190,6 @@ class TestFindPeriodic:
         )
         changes = np.count_nonzero(np.diff(signs))
         assert changes == 1
-
-
-SINUSOID = SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.5)
-FOURIER = FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.25, 0.08), sin_coeffs=(0.15, -0.05))
-PIECEWISE = PiecewiseLinearSchedule(
-    period=1.0, knot_times=(0.0, 0.3, 0.55, 1.0), knot_values=(1.0, 1.8, 0.4, 1.0)
-)
 
 
 def _counted_maps(monkeypatch):
@@ -394,6 +400,24 @@ class TestLazySamples:
         assert sizes and periodic.DEFAULT_SEGMENTS + 1 not in sizes
 
 
+# delta_hat of an independent solve: scipy's solve_ivp DOP853 at rtol 2.3e-14
+# (atol 1e-300) of R and R* as a pair from (R0, R*(0)), with R*(0) from
+# find_periodic and P0 from specfun.p0, the same 10-period burn-in and
+# 1e-12 R*(0) floor rule, and np.polyfit's line through log|R(kT) - R*(kT)|
+# on t = kT (at sigma_tilde = 1e-9, where the marks fall by 3e-10 a period,
+# good to about 1e-6).  Case: (mu, sigma_tilde, schedule, R0 / R*(0), periods), gamma = 1.
+DOP853_RATES = {
+    "sinusoid-mu0.5": ((0.5, 0.6, SinusoidSchedule(period=1.0, mean_level=1.0, amplitude=0.4875), 2.0, 40),
+                       0.06845851426082365),
+    "fourier": ((1.0, 0.285, FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.24375, 0.078),
+                                             sin_coeffs=(0.14625, -0.04875)), 2.0, 40),
+                0.08500441533712881),
+    "mu10": ((10.0, 0.6, SINUSOID, 2.0, 40), 1.2581513454374018),
+    "sigma1e-9": ((1.0, 1e-9, SINUSOID, 2.0, 30), 3.333332602634736e-10),
+    "start-1e200": ((1.0, 0.5, SINUSOID, 1e200, 30), 0.1666666666666593),
+}
+
+
 class TestConvergenceRate:
     def test_fit_from_above(self, default_orbit):
         fit = convergence_rate(default_orbit, 2.0 * default_orbit.R_star0, 180, burn_in=40)
@@ -421,19 +445,34 @@ class TestConvergenceRate:
             convergence_rate(default_orbit, 2.0 * default_orbit.R_star0, 8)
 
     @pytest.mark.parametrize("start", [2.0, 0.5])
-    def test_fit_agrees_with_polyfit(self, default_orbit, start):
-        # the closed-form least squares on k is polyfit's line on t = k T
+    def test_fit_agrees_with_polyfit(self, default_orbit, start, monkeypatch):
+        # the closed-form least squares on k is polyfit's line on t = k T,
+        # through the same marks R*(0) |expm1(v(kT))| of the deviation solve
+        solves, inner = [], periodic._solve
+        monkeypatch.setattr(periodic, "_solve", lambda *args: solves.append(inner(*args)) or solves[-1])
         R0, n = start * default_orbit.R_star0, 30
         fit = convergence_rate(default_orbit, R0, n)
+        [(deviation, _)] = solves
         T = default_orbit.period
-        traj = integrate(default_orbit.params, R0, n * T, rtol=periodic.POINCARE_RTOL, atol=periodic.POINCARE_ATOL)
         ks = np.arange(periodic.RATE_BURN_IN, n + 1)
-        logd = np.log(np.abs(traj.resample(ks * T).radii - default_orbit.R_star0))
+        logd = np.log(default_orbit.R_star0 * np.abs(np.expm1(deviation(ks * T))))
         slope, intercept = np.polyfit(ks * T, logd, 1)
         assert fit.n_periods_used == ks.size
         assert fit.delta_hat == pytest.approx(-slope, rel=1e-12)
         r_squared = 1.0 - np.sum((logd - slope * ks * T - intercept) ** 2) / np.sum((logd - logd.mean()) ** 2)
         assert fit.r_squared == pytest.approx(r_squared, rel=1e-12)
+
+    @pytest.mark.parametrize("case, rel", [
+        ("sinusoid-mu0.5", 1e-6), ("fourier", 1e-6), ("mu10", 1e-4), ("sigma1e-9", 1e-2), ("start-1e200", 1e-6),
+    ])
+    def test_rate_against_independent_solve(self, case, rel):
+        """delta_hat within rel of DOP853_RATES.  At mu = 10 the marks reach
+        the floor; at sigma_tilde = 1e-9 the drop per period, Lambda_0 T ~ 3e-10,
+        is below a fixed rtol of 1e-8 on v."""
+        (mu, sigma_tilde, schedule, factor, n), want = DOP853_RATES[case]
+        orbit = find_periodic(ModelParams(mu=mu, sigma_tilde=sigma_tilde, gamma=1.0, schedule=schedule))
+        fit = convergence_rate(orbit, factor * orbit.R_star0, n)
+        assert fit.delta_hat == pytest.approx(want, rel=rel)
 
     def test_motionless_marks_end_on_the_rate_gate(self):
         # period marks 1e-300 apart: R(kT) does not move, the fitted rate is

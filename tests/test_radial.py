@@ -180,16 +180,17 @@ class TestIntegrate:
     def test_float_read_bit_equal_to_array_read(self, default_params):
         """One time read as a float, an np.float64 or a 0-d array gives the
         bits it has inside an array, through the dense solution: at step
-        ends, mid-step and next to the span's ends."""
+        ends, mid-step, next to the span's ends, just outside it and at NaN."""
         traj = integrate(default_params, 1.0, 3.0)
         ends = traj.times
-        t = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), [1e-13, 3.0 - 1e-13]])
+        inside = np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1]), [1e-13, 3.0 - 1e-13]])
+        t = np.concatenate([inside, [-1e-9, 3.0 + 1e-9, math.nan]])
         bulk = traj._interp(t)
         for x, want in zip(t.tolist(), bulk.tolist()):
             for one in (x, np.float64(x), np.array(x)):
                 got = traj._interp(one)
                 assert type(got) is float and _bits(got) == _bits(want), x
-        assert np.array_equal(traj.resample(np.unique(t)).radii, traj._interp(np.unique(t)))
+        assert np.array_equal(traj.resample(np.unique(inside)).radii, traj._interp(np.unique(inside)))
 
     def test_out_of_span_evaluation(self, default_params):
         # resample, a solve's one read, takes exactly [0, t1]: no slack past either end
@@ -260,9 +261,10 @@ class TestExtinctionDiagnostics:
 
     def test_period_marks_shape(self, default_params):
         params = replace(default_params, sigma_tilde=1.1)
-        report = extinction_diagnostics(params, integrate(params, 1.0, 10 * params.period))
-        # R(kT) for k = 0..10; the marks' times are k T
-        assert len(report.period_radii) == 11
+        for n in (1, 10):  # one period is a whole number of periods too
+            report = extinction_diagnostics(params, integrate(params, 1.0, n * params.period))
+            # R(kT) for k = 0..n; the marks' times are k T
+            assert len(report.period_radii) == n + 1
 
     def test_constant_supply_below_sigma(self):
         # Phi_max < sigma_tilde: dR/dt < 0 throughout, so R(kT) itself is the

@@ -131,11 +131,10 @@ def perturbed_surface(
     the harmonics are summed.  The real part of the harmonic sum is exported.
     """
     modes = [(*_check_mode(n, m), rho0) for n, m, rho0 in modes]
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    th, ph = np.meshgrid(thetas, phis, indexing="ij")
+    th = np.asarray(thetas, dtype=float).reshape(-1, 1)
+    ph = np.asarray(phis, dtype=float).reshape(1, -1)
     base = orbit(t)
-    total = np.zeros_like(th, dtype=complex)
+    total = np.zeros((th.size, ph.size), dtype=complex)
     for n, m, rho0 in modes:
         amp = stability.evolve_mode(orbit, n, m, rho0, t)
         if not math.isfinite(amp):

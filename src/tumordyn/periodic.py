@@ -307,7 +307,8 @@ def convergence_rate(
     [min(R0/R*(0),1)*R_min, max(R0/R*(0),1)*R_max].  The first burn_in
     periods are excluded from the fit: the approach is exponential only
     asymptotically, and the early nonlinear transient bends the log plot.
-    So is every mark from the first at or below the floor 1e-12 R*(0) on.
+    So is every mark from the first at or below the floor 1e-12 R*(0) on, also for
+    ``one_sided``; a rate that is not positive shows no approach (InsufficientDataError).
     """
     params, R_star0 = orbit.params, orbit.R_star0
     if abs(R0 - R_star0) <= 1e-9 * R_star0:
@@ -328,8 +329,6 @@ def convergence_rate(
     rtol = min(1e-8, max(POINCARE_RTOL, 1e-6 * contraction))
     deviation, _ = _solve(params, _deviation_side(params, orbit._interp), v0, n_periods * T, rtol, _RATE_ATOL)
     diffs = R_star0 * np.expm1(deviation(np.arange(n_periods + 1) * T))
-    one_sided = bool(np.all(diffs > 0.0) or np.all(diffs < 0.0))
-
     floor = np.abs(diffs) <= 1e-12 * R_star0
     end = int(np.argmax(floor)) if floor.any() else n_periods + 1
     ks = np.arange(burn_in, end)
@@ -339,12 +338,12 @@ def convergence_rate(
             f"leaving {len(ks)} of the {RATE_FIT_MARKS} marks a rate fit needs "
             f"after the {burn_in}-period burn-in"
         )
+    one_sided = bool(np.all(diffs[ks] > 0.0) or np.all(diffs[ks] < 0.0))
     # least squares of log|R(kT) - R*(0)| on k, in centred sums: no LAPACK
     k = ks - ks.mean()
     logd = np.log(np.abs(diffs[ks]))
     dev = logd - logd.mean()
     sxy, sxx, syy = float(np.sum(k * dev)), float(np.sum(k * k)), float(np.sum(dev * dev))
-    r_squared = sxy * sxy / (sxx * syy) if syy > 0.0 else 1.0
     delta_hat = -(sxy / sxx) / T
 
     ratio = R0 / R_star0
@@ -357,14 +356,13 @@ def convergence_rate(
         params.mu * params.schedule.minimum * m_min * orbit.R_min * min(1.0, ratio)
     )
     if delta_hat < 0.95 * delta_bound:
-        raise SolverError(
-            f"fitted rate {delta_hat:.6g} fell below 95% of the analytic bound "
-            f"{delta_bound:.6g}"
-        )
+        raise SolverError(f"fitted rate {delta_hat:.6g} fell below 95% of the analytic bound {delta_bound:.6g}")
+    if not delta_hat > 0.0:  # a bound that underflows to 0 gates nothing
+        raise InsufficientDataError(f"the period marks did not approach R*(0): fitted rate {delta_hat:.6g}")
     return RateFit(
         delta_hat=delta_hat,
         delta_bound=delta_bound,
-        r_squared=r_squared,
+        r_squared=sxy * sxy / (sxx * syy),  # a positive rate needs some spread: syy > 0
         n_periods_used=len(ks),
         one_sided=one_sided,
     )

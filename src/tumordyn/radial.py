@@ -97,6 +97,14 @@ def _deviation_side(params: ModelParams, radius):
     return f
 
 
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf past the float range: a growth cap, Floquet multiplier or mode amplitude."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def rhs(params: ModelParams, t: float, R: float) -> float:
     """Right side of the radius ODE; exactly 0 at R = 0."""
     if R < 0.0:
@@ -208,7 +216,7 @@ def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionR
     judged with the slack of integrate's default tolerances; it is read on a
     grid of _GRID_PER_PERIOD points per period.  Verifies (a) R(kT)
     is non-increasing and (b) within each period
-    R(t) <= R(kT) * exp(mu*max(0, Phi_max - sigma_tilde)*T/3) on that grid,
+    R(t) <= R(kT) * exp(mu*max(0, Phi_max - sigma_tilde)*T/3) (inf past the floats) on that grid,
     which follows from dR/dt <= mu*R*(Phi_max - sigma_tilde)/3 since P0 <= 1/3.
     """
     if classify_radial(params) is not Classification.EXTINCTION:
@@ -234,7 +242,7 @@ def extinction_diagnostics(params: ModelParams, traj: Trajectory) -> ExtinctionR
         )
 
     growth = max(0.0, params.schedule.maximum - params.sigma_tilde)
-    cap = math.exp(params.mu * growth * T / 3.0)
+    cap = _exp_or_inf(params.mu * growth * T / 3.0)
     cap_ok = True
     for k in range(n_periods):
         seg = traj.radii[k * _GRID_PER_PERIOD : (k + 1) * _GRID_PER_PERIOD + 1]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import SolverError
 from .periodic import PeriodicSolution, find_periodic
-from .radial import ModelParams
+from .radial import ModelParams, _exp_or_inf
 from .roots import find_root
 from .specfun import _check_mode, _check_order, _ratios, pn
 
@@ -187,11 +187,7 @@ def _lambda(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> f
 
 def _exponent(orbit: PeriodicSolution, n: int, tension: float, prolif: float) -> ModeExponent:
     lam = _lambda(orbit, n, tension, prolif)
-    try:
-        multiplier = math.exp(-lam * orbit.period)
-    except OverflowError:
-        multiplier = math.inf
-    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=multiplier)
+    return ModeExponent(mode=n, lambda_bar=lam, floquet_multiplier=_exp_or_inf(-lam * orbit.period))
 
 
 def theta_n(orbit: PeriodicSolution, n: int) -> float:
@@ -235,7 +231,7 @@ def mu_star(params: ModelParams) -> float:
         mu_try = 10.0**exponent
         try:
             h_try = h(mu_try)
-        except (SolverError, ValueError, OverflowError) as exc:
+        except (SolverError, ValueError) as exc:
             stop = f"the walk stopped at mu = {mu_try:g}: {exc}"
             break
         if prev is not None and prev[1] < 0.0 <= h_try:
@@ -266,11 +262,8 @@ def evolve_mode(
     integral = k * _lambda(orbit, n, tension, prolif) * T
     if tau > 0.0:
         integral += _exponent_integral(orbit.params, n, *_window_integrals(orbit, tau, n))
-    prefactor = (orbit.R_star0 / orbit(t)) ** (n - 1)
-    try:
-        return rho0 * prefactor * math.exp(-integral)
-    except OverflowError:
-        return math.copysign(math.inf, rho0) if rho0 else 0.0
+    growth = _exp_or_inf((n - 1) * (math.log(orbit.R_star0) - math.log(orbit(t))) - integral)
+    return rho0 * growth if rho0 else 0.0
 
 
 @dataclass

@@ -95,6 +95,19 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0
         assert capsys.readouterr().err == "error: integration failed: more than 100000 steps\n"
 
+    def test_cap_past_the_float_range_bounds_nothing(self, tmp_path, capsys):
+        # a spike to 50 at mu = 50 puts the cap exp(mu (Phi_max - sigma_tilde) T / 3) =
+        # exp(816.7) past the float range: it is inf, bounds nothing, and the check holds
+        spike = {"form": "piecewise", "period": 1.0, "times": [0.0, 0.49, 0.5, 0.51, 1.0],
+                 "values": [0.5, 0.5, 50.0, 0.5, 0.5]}
+        cfg = write_config(tmp_path, {"schedule": spike, "simulate": {"R0": 1.0, "n_periods": 2}},
+                           mu=50.0, sigma_tilde=1.0)
+        assert run("simulate", cfg, tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["verdict"] == "Extinction"
+        assert summary["extinction_check"]["within_period_cap_ok"] is True
+
 
 class TestPeriodic:
     def test_summary_fields(self, tmp_path):
@@ -117,6 +130,13 @@ class TestPeriodic:
         assert summary["R_star0"] > 1e9
         assert summary["residual"] <= 1e-11
         assert summary["delta_hat"] >= 0.95 * summary["delta_bound"] > 0.0
+
+    def test_motionless_rate_start_one_line_exit_1(self, tmp_path, capsys):
+        # from 1e-300 R*(0) the marks do not move and the rate bound underflows to 0
+        cfg = write_config(tmp_path, {"periodic": {"rate_R0_factor": 1e-300}}, sigma_tilde=0.5)
+        assert run("periodic", cfg, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: the period marks did not approach R*(0): fitted rate -0\n"
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_huge_rate_start_writes_nothing_to_stderr(self, tmp_path):
         # the rate bound reads P0' at R_max * 1e200, where r^3 overflows to inf

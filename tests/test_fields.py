@@ -5,6 +5,7 @@ import pytest
 
 from tumordyn import (
     boundary_derivatives,
+    evolve_mode,
     p_star,
     perturbed_surface,
     sigma_star,
@@ -169,6 +170,20 @@ class TestPerturbedSurface:
             spherical_harmonic(2, 0, thetas, np.zeros_like(thetas))
         )
         assert np.allclose(surf[:, 0], expected, rtol=1e-12)
+
+    def test_equals_the_meshgrid_sum(self, default_orbit):
+        # each harmonic on its own axes (Legendre on theta, e^{im phi} on phi)
+        # sums to the bits of the harmonics on the full (theta, phi) grid
+        modes = [(2, 0, 1.0), (3, -1, 0.5), (4, -4, 0.25), (3, 3, 0.1), (5, -2, 0.2), (0, 0, 0.3)]
+        thetas = np.linspace(0.0, math.pi, 9)
+        phis = np.linspace(0.0, 2.0 * math.pi, 13, endpoint=False)
+        t = 1.37
+        th, ph = np.meshgrid(thetas, phis, indexing="ij")
+        total = np.zeros_like(th, dtype=complex)
+        for n, m, rho0 in modes:
+            total += evolve_mode(default_orbit, n, m, rho0, t) * spherical_harmonic(n, m, th, ph)
+        want = default_orbit(t) + 1e-3 * np.real(total)
+        assert np.array_equal(perturbed_surface(default_orbit, modes, 1e-3, t, thetas, phis), want)
 
     def test_fractional_m_rejected(self, default_orbit):
         with pytest.raises(ValueError, match="m must be a whole number with"):

@@ -257,3 +257,17 @@ def test_collocation_builds_no_jacobian_matrix():
     no diagonal matrix D - diag(a)."""
     assert "_inverse" not in _calls_and_defs(SRC / "periodic.py")[1]
     assert "diag" not in _called(_function(SRC / "periodic.py", "_collocate"))
+
+
+def test_one_overflow_rule():
+    """A growth factor e^(rate * time) past the float range is inf by one
+    rule, radial._exp_or_inf: extinction_diagnostics' cap goes through it, and
+    stability handles no OverflowError, calls no exp of its own and raises no
+    ratio to a power."""
+    assert "_exp_or_inf" in _called(_function(SRC / "radial.py", "extinction_diagnostics"))
+    tree = ast.parse((SRC / "stability.py").read_text(encoding="utf-8"))
+    handled = [ast.unparse(h.type) for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler) and h.type]
+    assert not [h for h in handled if "OverflowError" in h]
+    assert "exp" not in _called(tree)
+    powers = [n for n in ast.walk(tree) if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+    assert not [n for n in powers if isinstance(n.left, ast.BinOp) and isinstance(n.left.op, ast.Div)]

@@ -474,6 +474,22 @@ class TestConvergenceRate:
         fit = convergence_rate(orbit, factor * orbit.R_star0, n)
         assert fit.delta_hat == pytest.approx(want, rel=rel)
 
+    def test_one_sided_on_the_fitted_marks(self):
+        # at mu = 10 the marks reach the 1e-12 R*(0) floor within 40 periods; the
+        # signs below it are rounding noise, and the fit and its sign test drop them
+        orbit = find_periodic(ModelParams(mu=10.0, sigma_tilde=0.6, gamma=1.0, schedule=SINUSOID))
+        fit = convergence_rate(orbit, 2.0 * orbit.R_star0, 40)
+        assert fit.n_periods_used < 40 - periodic.RATE_BURN_IN + 1
+        assert fit.one_sided
+
+    @pytest.mark.parametrize("R0", [1e-300, 1e-320])
+    def test_tiny_start_is_no_rate(self, R0):
+        # R(kT) barely moves from 1e-300 in 40 periods, so the fitted rate is -0, and the
+        # bound mu Phi_min M_min R_min min(1, R0 / R*(0)) underflows to 0: no gate, one error
+        orbit = find_periodic(ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=SINUSOID))
+        with pytest.raises(InsufficientDataError, match=r"^the period marks did not approach R\*\(0\): fitted rate -0$"):
+            convergence_rate(orbit, R0, 40)
+
     def test_motionless_marks_end_on_the_rate_gate(self):
         # period marks 1e-300 apart: R(kT) does not move, the fitted rate is
         # 0, and the rate gate fails with one named error

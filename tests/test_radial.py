@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ class TestExtinctionDiagnostics:
         assert len(report.violations) == 2
         assert report.violations[0].startswith("R(kT) increased between periods ")
         assert report.violations[1] == "within-period growth cap violated in period 0"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_messages_name_the_period_that_breaks_a_check(self, k):
+        # at the tie sigma_tilde = Phi of a constant supply the cap is exp(0) = 1;
+        # on a stubbed 32-per-period grid of four periods R rises only at the
+        # end of period k, to R((k + 1) T), breaking both checks there first
+        params = ModelParams(mu=1.0, sigma_tilde=1.0, gamma=1.0, schedule=ConstantSchedule(period=1.0, value=1.0))
+        radii = np.ones(4 * 32 + 1)
+        radii[(k + 1) * 32] = 1.25
+        grid = SimpleNamespace(t1=4.0, resample=lambda t_eval: SimpleNamespace(radii=radii))
+        assert extinction_diagnostics(params, grid).violations == [
+            f"R(kT) increased between periods {k} and {k + 1} by 2.500e-01",
+            f"within-period growth cap violated in period {k}",
+        ]
 
     def test_requires_extinction_regime(self, default_params):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from scipy.integrate import quad, solve_ivp
 
 from tumordyn import (
     ConstantSchedule,
+    FourierSchedule,
     ModelParams,
     PiecewiseLinearSchedule,
     SinusoidSchedule,
@@ -167,6 +169,21 @@ class TestMuStar:
         orbit = find_periodic(replace(params, mu=root))
         assert root == pytest.approx(theta_n(orbit, 2), rel=1e-6)
 
+    def test_root_against_bisection(self, sinusoid):
+        # an independent bisection of mu - theta_2(orbit(mu)) on the first decade
+        # where it turns from - to +, to 1e-11 relative
+        params = ModelParams(mu=1.0, sigma_tilde=0.5, gamma=1.0, schedule=sinusoid)
+
+        def h(mu):
+            return mu - theta_n(find_periodic(replace(params, mu=mu)), 2)
+
+        lo = next(10.0**k for k in range(-6, 6) if h(10.0**k) < 0.0 <= h(10.0 ** (k + 1)))
+        hi = 10.0 * lo
+        while hi - lo > 1e-11 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if h(mid) < 0.0 else (lo, mid)
+        assert mu_star(params) == pytest.approx(0.5 * (lo + hi), rel=1e-9)
+
     def test_self_consistent_no_root(self, default_params):
         # at sigma_tilde = 0.9 the threshold outruns mu up to mu = 100, and at
         # mu = 1000 the shot orbit fails its bracket sign check; orbits exist,
@@ -238,6 +255,16 @@ class TestEvolveMode:
         assert [evolve_mode(orbit, n, 0, rho0, t) for rho0 in (0.3, -2.0, 0.0)] == [math.inf, -math.inf, 0.0]
         with pytest.raises(SolverError, match=rf"mode \(n, m\) = \({n}, 1\)"):
             perturbed_surface(orbit, [(0, 0, 1.0), (n, 1, 1e-300)], 1e-3, t, [1.0], [0.0])
+
+    def test_high_order_at_the_orbit_minimum(self):
+        # (R*(0)/R*(t))^799 alone is past the float range at the orbit's smallest
+        # sample, while the tension integral drives the amplitude to 0: taken as
+        # one exponent it is 0.0
+        schedule = FourierSchedule(period=1.0, mean_level=1.0, cos_coeffs=(0.5,), sin_coeffs=())
+        orbit = find_periodic(ModelParams(mu=30.0, sigma_tilde=0.9, gamma=1.0, schedule=schedule))
+        t = float(orbit.times[np.argmin(orbit.radii)])
+        assert 799 * math.log(orbit.R_star0 / orbit(t)) > math.log(sys.float_info.max)
+        assert evolve_mode(orbit, 800, 0, 1.0, t) == 0.0
 
     def test_bad_inputs(self, default_orbit):
         with pytest.raises(ValueError):

@@ -101,21 +101,7 @@ def _json_dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write(path: Path, text: str) -> None:
-    # the output directory appears with the first artifact, so a run that
-    # rejects its config leaves none behind
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_json(path: Path, obj) -> None:
-    _write(path, _json_dumps(obj) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
     """None is an empty cell, a str is written as is, any other cell goes
     through _fmt; a pair of finite floats takes _fmt's format in one
     %-format, which writes the same digits as its f-string."""
@@ -128,7 +114,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                 lines.append("%.17g,%.17g" % (a, b))
                 continue
         lines.append(",".join("" if v is None else (v if isinstance(v, str) else _fmt(v)) for v in row))
-    _write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_all(out: Path, artifacts: dict[str, str]) -> None:
+    """Each file is written under a hidden temporary name in out and renamed
+    over its own, so a reader never sees half a file."""
+    for name, text in artifacts.items():
+        tmp = out / f".{name}.tmp"
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text, encoding="utf-8", newline="\n")
+            os.replace(tmp, out / name)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out / name}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +218,7 @@ def _params_summary(params: ModelParams) -> dict:
 # commands
 
 
-def cmd_simulate(config: RunConfig, out: Path) -> None:
+def cmd_simulate(config: RunConfig) -> dict[str, str]:
     opts = config.options.get("simulate", {})
     R0 = _positive(opts, "simulate", "R0", 1.0)
     n_periods = _count(opts, "simulate", "n_periods", 10, 1, _PERIODS_LIMIT)
@@ -233,7 +232,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
     t1 = _span(params, "simulate.n_periods", n_periods)
     t_eval = np.linspace(0.0, t1, n_periods * samples + 1)
     traj = radial.integrate(params, R0, t1).resample(t_eval)
-    _write_csv(out / "trajectory.csv", ["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
+    trajectory = _csv(["t", "R"], zip(traj.times.tolist(), traj.radii.tolist()))
 
     verdict = radial.classify_radial(params)
     summary = {
@@ -251,10 +250,10 @@ def cmd_simulate(config: RunConfig, out: Path) -> None:
             "within_period_cap_ok": report.cap_ok,
             "violations": list(report.violations),
         }
-    _write_json(out / "summary.json", summary)
+    return {"trajectory.csv": trajectory, "summary.json": _json_dumps(summary) + "\n"}
 
 
-def cmd_periodic(config: RunConfig, out: Path) -> None:
+def cmd_periodic(config: RunConfig) -> dict[str, str]:
     opts = config.options.get("periodic", {})
     tol = _positive(opts, "periodic", "tol", periodic_mod.DEFAULT_TOL)
     rate_factor = _positive(opts, "periodic", "rate_R0_factor", 2.0)
@@ -263,27 +262,25 @@ def cmd_periodic(config: RunConfig, out: Path) -> None:
     params = config.params
     _span(params, "periodic.rate_n_periods", rate_periods)
     orbit = periodic_mod.find_periodic(params, tol=tol)
-    _write_csv(out / "orbit.csv", ["t", "R_star"], zip(orbit.times.tolist(), orbit.radii.tolist()))
+    orbit_csv = _csv(["t", "R_star"], zip(orbit.times.tolist(), orbit.radii.tolist()))
 
     R0 = rate_factor * orbit.R_star0
     if not math.isfinite(R0):
         raise TumordynError("the rate fit's start rate_R0_factor * R*(0) left the floating-point range")
     fit = periodic_mod.convergence_rate(orbit, R0, rate_periods)
-    _write_json(
-        out / "summary.json",
-        {
-            "params": _params_summary(params),
-            "R_star0": orbit.R_star0,
-            "R_min": orbit.R_min,
-            "R_max": orbit.R_max,
-            "residual": orbit.residual,
-            "delta_hat": fit.delta_hat,
-            "delta_bound": fit.delta_bound,
-        },
-    )
+    summary = {
+        "params": _params_summary(params),
+        "R_star0": orbit.R_star0,
+        "R_min": orbit.R_min,
+        "R_max": orbit.R_max,
+        "residual": orbit.residual,
+        "delta_hat": fit.delta_hat,
+        "delta_bound": fit.delta_bound,
+    }
+    return {"orbit.csv": orbit_csv, "summary.json": _json_dumps(summary) + "\n"}
 
 
-def cmd_stability(config: RunConfig, out: Path) -> None:
+def cmd_stability(config: RunConfig) -> dict[str, str]:
     opts = config.options.get("stability", {})
     n_max = _count(opts, "stability", "n_max", stability.DEFAULT_N_MAX, 2, _N_MAX_LIMIT)
     self_consistent = opts.get("self_consistent", False)
@@ -300,20 +297,17 @@ def cmd_stability(config: RunConfig, out: Path) -> None:
         {"n": e.mode, "lambda_bar": e.lambda_bar, "multiplier": e.floquet_multiplier}
         for e in report.exponents
     ]
-    _write_json(
-        out / "report.json",
-        {
-            "params": _params_summary(params),
-            "mu_star": report.thresholds[0],
-            "self_consistent_mu_star": stability.mu_star(params) if self_consistent else None,
-            "thresholds": list(report.thresholds),
-            "exponents": exponents,
-            "verdict": report.verdict.value,
-        },
-    )
+    summary = {
+        "params": _params_summary(params),
+        "mu_star": report.thresholds[0],
+        "self_consistent_mu_star": stability.mu_star(params) if self_consistent else None,
+        "thresholds": list(report.thresholds),
+        "exponents": exponents,
+        "verdict": report.verdict.value,
+    }
     rows = [(e.mode, report.thresholds[e.mode - 2] if e.mode >= 2 else None, e.lambda_bar)
             for e in report.exponents]
-    _write_csv(out / "modes.csv", ["n", "theta_n", "lambda_n"], rows)
+    return {"report.json": _json_dumps(summary) + "\n", "modes.csv": _csv(["n", "theta_n", "lambda_n"], rows)}
 
 
 SWEEP_COLUMNS = ["mu", "sigma_tilde", "verdict", "R_star0", "theta2", "lambda2", "error"]
@@ -335,7 +329,7 @@ def _sweep_row(args) -> tuple:
     )
 
 
-def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
+def cmd_sweep(config: RunConfig, workers: int) -> dict[str, str]:
     opts = config.options.get("sweep", {})
     grids = [opts.get("mu_grid", [config.params.mu]), opts.get("sigma_grid", [config.params.sigma_tilde])]
     if not all(type(g) is list and g and all(map(_is_real, g)) for g in grids):
@@ -359,7 +353,7 @@ def cmd_sweep(config: RunConfig, out: Path, workers: int) -> None:
 
     if all(r[2] == "Error" for r in rows):
         raise TumordynError("every sweep row failed")
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
+    return {"sweep.csv": _csv(SWEEP_COLUMNS, rows)}
 
 
 # ----------------------------------------------------------------------
@@ -384,14 +378,18 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         config = load_config(args.config)
+        # each command is looked up at call time, so a wrapper set on the
+        # module (as a tracer does) takes effect
         if args.command == "simulate":
-            cmd_simulate(config, args.out)
+            artifacts = cmd_simulate(config)
         elif args.command == "periodic":
-            cmd_periodic(config, args.out)
+            artifacts = cmd_periodic(config)
         elif args.command == "stability":
-            cmd_stability(config, args.out)
+            artifacts = cmd_stability(config)
         else:
-            cmd_sweep(config, args.out, args.workers)
+            artifacts = cmd_sweep(config, args.workers)
+        # nothing reaches disk until the command has returned every artifact
+        _write_all(args.out, artifacts)
     except (ConfigError, ScheduleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,8 @@ _ERROR_EXPONENT = -1.0 / 5.0  # the error estimate is of order 4
 _MIN_RTOL = 100.0 * sys.float_info.epsilon
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# the stage coefficients of stages 2 to 6, row s - 2 for stage s
 _A = np.array([
-    [0, 0, 0, 0, 0],
     [1 / 5, 0, 0, 0, 0],
     [3 / 40, 9 / 40, 0, 0, 0],
     [44 / 45, -56 / 15, 32 / 9, 0, 0],
@@ -144,8 +144,8 @@ def solve(fun, t0: float, y0: float, t1: float, rtol: float, atol: float, max_st
     k = memoryview(K).cast("B").cast("d")
     # ndarray.dot is np.dot's product without its dispatch
     dot2, dot3, dot4, dot5 = (K[:s].T.dot for s in range(2, 6))
-    A21 = float(_A[1, 0])
-    A2, A3, A4, A5 = (_A[s, :s] for s in range(2, 6))
+    A21 = float(_A[0, 0])
+    A2, A3, A4, A5 = (_A[s - 1, :s] for s in range(2, 6))
     _, C1, C2, C3, C4, _ = _C
     dot_sol, dot_all = K[:-1].T.dot, K.T.dot
     S = np.empty(1)  # each product's one element, read as a float through s

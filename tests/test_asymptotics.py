@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import ive
 
 from tumordyn import ModelParams, SinusoidSchedule, find_periodic, integrate, p0_inverse, pn, theta_n
@@ -53,24 +53,54 @@ def _bessel_ratio(n, r):
     return ive(n + 1.5, r) / (r * ive(n + 0.5, r))
 
 
+def _phi(t):
+    return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
+
+
+def _r_qs(sigma_tilde, t):
+    """The quasi-static radius P0^{-1}(sigma~ / (3 Phi(t))), by brentq."""
+    y = sigma_tilde / (3.0 * _phi(t))
+    return brentq(lambda r: _bessel_ratio(0, r) - y, 1e-3, 1e3, xtol=1e-15, rtol=4.0 * 2.0**-52)
+
+
 def _quasi_static_theta2(sigma_tilde):
     """4 gamma Int R_qs^-3 / Int Phi R_qs^2 P0 (P1 - P2) over one period, with
-    R_qs = P0^{-1}(sigma~ / (3 Phi)) by brentq and each integral by quad."""
-    eps = 2.0**-52
-
-    def phi(t):
-        return 1.0 + 0.5 * math.sin(2.0 * math.pi * t)
-
-    def r_qs(t):
-        y = sigma_tilde / (3.0 * phi(t))
-        return brentq(lambda r: _bessel_ratio(0, r) - y, 1e-3, 1e3, xtol=1e-15, rtol=4.0 * eps)
+    each integral by quad."""
 
     def prolif(t):
-        r = r_qs(t)
-        return phi(t) * r * r * _bessel_ratio(0, r) * (_bessel_ratio(1, r) - _bessel_ratio(2, r))
+        r = _r_qs(sigma_tilde, t)
+        return _phi(t) * r * r * _bessel_ratio(0, r) * (_bessel_ratio(1, r) - _bessel_ratio(2, r))
 
-    tension = quad(lambda t: r_qs(t) ** -3, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    tension = quad(lambda t: _r_qs(sigma_tilde, t) ** -3, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
     return 4.0 * tension / quad(prolif, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _quasi_static_lag(sigma_tilde):
+    """(W, c): the terms of max |log R* - log R_qs| = W/mu + c/mu^2 + O(1/mu^3).
+
+    With h(u) = P0(e^u) and u = log R_qs + w1/mu + w2/mu^2, matching the
+    orders of u' = mu (Phi h(u) - sigma~/3) gives w1 = u_qs' / (Phi h') and
+    w2 = (w1' - Phi h'' w1^2 / 2) / (Phi h').  W is max w1, at a t where
+    w1' = 0, so c is w2 there, -h'' W^2 / (2 h').  The minimum -W lies at
+    the same Phi, where w2 is c too, so it is the smaller in size for c > 0.
+    Each derivative of P_n comes from P_n' = r P_n (P_{n+1} - P_n)."""
+
+    def w1_and_ratio(t):
+        r = _r_qs(sigma_tilde, t)
+        p0, p1, p2 = (_bessel_ratio(n, r) for n in range(3))
+        d0, d1 = r * p0 * (p1 - p0), r * p1 * (p2 - p1)
+        h1 = r * d0
+        h2 = r * r * (p0 * (p1 - p0) + r * d0 * (p1 - p0) + r * p0 * (d1 - d0)) + h1
+        # R_qs' = -sigma~ Phi' / (3 Phi^2 P0'(R_qs)), so w1 = -sigma~ Phi' / (3 Phi^3 h'^2)
+        w1 = -sigma_tilde * math.pi * math.cos(2.0 * math.pi * t) / (3.0 * _phi(t) ** 3 * h1 * h1)
+        return w1, h2 / h1
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    i = int(np.argmax([w1_and_ratio(t)[0] for t in grid]))
+    peak = minimize_scalar(lambda t: -w1_and_ratio(t)[0], bounds=(grid[i - 1], grid[i + 1]),
+                           method="bounded", options={"xatol": 1e-12}).x
+    W, ratio = w1_and_ratio(peak)
+    return W, -ratio * W * W / 2.0
 
 
 def test_large_mu_theta2_tends_to_quasi_static():
@@ -89,6 +119,33 @@ def test_large_mu_theta2_tends_to_quasi_static():
     # (10/3)^2 = 11.1 for a pure 1/mu^2 gap; the next order takes 7% of it here
     assert gap[3e3] / gap[1e4] == pytest.approx(10.32, rel=1e-3)
     assert gap[3e3] / gap[1e4] == pytest.approx((1e4 / 3e3) ** 2, rel=0.1)
+
+
+def test_large_mu_orbit_tends_to_quasi_static():
+    """mu -> infinity with sigma~ = 0.3 < Phi_min = 0.5: R* lags the
+    quasi-static orbit R_qs by max |log R* - log R_qs| = W/mu + c/mu^2 + ...
+    over the orbit's times, with W and c from _quasi_static_lag.  The
+    tolerance on each claim is the size of the first term it neglects."""
+    sigma_tilde = 0.3
+    W, c = _quasi_static_lag(sigma_tilde)
+    assert W == pytest.approx(58.938210318, rel=1e-9)
+    assert c == pytest.approx(629.707, rel=1e-5)
+    gap = {}
+    for mu in (300.0, 1e3, 3e3):
+        orbit = find_periodic(_params(mu, sigma_tilde))
+        r_qs = np.array([_r_qs(sigma_tilde, t) for t in orbit.times])
+        gap[mu] = float(np.max(np.abs(np.log(orbit.radii) - np.log(r_qs))))
+    assert [gap[mu] for mu in gap] == pytest.approx([0.19509, 0.059272, 0.019704], rel=1e-4)
+    for mu in gap:
+        # mu gap reaches W up to the c/mu term ...
+        assert abs(mu * gap[mu] - W) <= c / mu
+    for mu in (1e3, 3e3):
+        # ... which accounts for most of what is left once mu is large
+        assert abs(mu * gap[mu] - W - c / mu) < abs(mu * gap[mu] - W)
+    for lo, hi in ((300.0, 1e3), (1e3, 3e3)):
+        # the gap's order between two mu, 1 up to what c/mu makes of it
+        order = math.log(gap[lo] / gap[hi]) / math.log(hi / lo)
+        assert abs(order - 1.0) <= c / W * (1.0 / lo - 1.0 / hi) / math.log(hi / lo)
 
 
 def test_extinction_rate_tends_to_averaged_deficit():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from tumordyn import cli, periodic, radial, specfun, stability
 from tumordyn.cli import main
+from tumordyn.errors import SolverError
 
 BASE = {
     "version": 1,
@@ -136,7 +137,8 @@ class TestPeriodic:
         cfg = write_config(tmp_path, {"periodic": {"rate_R0_factor": 1e-300}}, sigma_tilde=0.5)
         assert run("periodic", cfg, tmp_path / "out") == 1
         assert capsys.readouterr().err == "error: the period marks did not approach R*(0): fitted rate -0\n"
-        assert not (tmp_path / "out" / "summary.json").exists()
+        # the orbit was solved before the fit failed, but no file of it is written
+        assert not (tmp_path / "out").exists()
 
     def test_huge_rate_start_writes_nothing_to_stderr(self, tmp_path):
         # the rate bound reads P0' at R_max * 1e200, where r^3 overflows to inf
@@ -182,9 +184,18 @@ class TestBlasThreads:
     orbit's integrals, a table of constants; each run gives the same bytes
     at one and two threads."""
 
+    # takes the CLI's arguments, solves the orbit that `periodic` would and
+    # prints its bytes, which a run that fails after the solve does not write
+    PRINT_ORBIT = (
+        "from tumordyn import cli, periodic\n"
+        "orbit = periodic.find_periodic(cli.load_config(cli.build_parser().parse_args().config).params)\n"
+        "print(repr(orbit.R_star0), orbit.radii.tobytes().hex())\n"
+    )
+
     @staticmethod
-    def _runs(tmp_path, command, config):
-        """(exit code, stderr, artifact bytes) of one CLI run under each of
+    def _runs(tmp_path, command, config, program=("-m", "tumordyn.cli")):
+        """(exit code, stderr, stdout, artifact bytes) of one run of
+        `python program command --config ... --out ...` under each of
         OPENBLAS_NUM_THREADS = 1 and 2."""
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
@@ -192,25 +203,29 @@ class TestBlasThreads:
         for threads in ("1", "2"):
             out = tmp_path / f"out-{threads}"
             proc = subprocess.run(
-                [sys.executable, "-m", "tumordyn.cli", command, "--config", str(cfg), "--out", str(out)],
+                [sys.executable, *program, command, "--config", str(cfg), "--out", str(out)],
                 env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
                      "OPENBLAS_NUM_THREADS": threads},
                 capture_output=True, text=True, timeout=120,
             )
-            runs.append((proc.returncode, proc.stderr, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+            runs.append((proc.returncode, proc.stderr, proc.stdout, files))
         return runs
 
-    @pytest.mark.parametrize("params, schedule", [
-        ({"mu": 100.0, "sigma_tilde": 0.6}, BASE["schedule"]),
+    @pytest.mark.parametrize("params, schedule, code", [
+        # at mu = 100 the rate fit fails (exit 1), so the run writes no file
+        ({"mu": 100.0, "sigma_tilde": 0.6}, BASE["schedule"], 1),
         ({"mu": 3.16, "sigma_tilde": 0.3},
-         {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.25, 0.08], "sin": [0.15, -0.05]}),
+         {"form": "fourier", "period": 1.0, "mean": 1.0, "cos": [0.25, 0.08], "sin": [0.15, -0.05]}, 0),
     ], ids=["sinusoid-mu100", "fourier"])
-    def test_periodic_bytes(self, tmp_path, params, schedule):
+    def test_periodic_bytes(self, tmp_path, params, schedule, code):
         config = dict(BASE, params=dict(BASE["params"], **params), schedule=schedule)
         runs = self._runs(tmp_path, "periodic", config)
-        # at mu = 100 the rate fit fails (exit 1) after orbit.csv is written
-        assert "orbit.csv" in runs[0][2]
+        assert runs[0][0] == code and ("orbit.csv" in runs[0][3]) == (code == 0)
         assert runs[0] == runs[1]
+        orbits = self._runs(tmp_path, "periodic", config, ("-c", self.PRINT_ORBIT))
+        assert orbits[0][0] == 0 and orbits[0][2]
+        assert orbits[0] == orbits[1]
 
     def test_shot_stability_bytes(self, tmp_path):
         """A piecewise supply's orbit is shot, so its exponents take the
@@ -223,7 +238,7 @@ class TestBlasThreads:
             stability={"n_max": 8},
         )
         runs = self._runs(tmp_path, "stability", config)
-        assert runs[0][0] == 0 and "report.json" in runs[0][2]
+        assert runs[0][0] == 0 and "report.json" in runs[0][3]
         assert runs[0] == runs[1]
 
 
@@ -413,6 +428,41 @@ class TestSweep:
         argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "64"]
         assert main(argv) == 0
         assert seen == [2]
+
+
+class TestFailedRun:
+    """A run that fails after its solve writes no file: it creates no
+    directory, and an existing one keeps every file byte for byte."""
+
+    # per command, a config section and params whose run exits 1 after some work
+    FAILING = {
+        # extinction_diagnostics, stubbed below, fails after the trajectory is solved
+        "simulate": ({"simulate": {"R0": 1.0, "n_periods": 3}}, {"sigma_tilde": 1.2}),
+        # the rate fit fails after the orbit is solved
+        "periodic": ({"periodic": {"rate_R0_factor": 1e-300}}, {"sigma_tilde": 0.3}),
+        # mode 5's Floquet multiplier overflows after the analysis
+        "stability": ({"schedule": {"form": "constant", "period": 5.286, "value": 1.8587749795474482},
+                       "stability": {"n_max": 8}}, {"mu": 338.9, "sigma_tilde": 0.7578, "gamma": 0.588}),
+        # every row fails
+        "sweep": ({"schedule": {**BASE["schedule"], "mean": 1e308}}, {}),
+    }
+
+    @pytest.mark.parametrize("command", FAILING)
+    def test_leaves_every_file_as_it_was(self, tmp_path, capsys, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise SolverError("stubbed extinction check")
+
+        monkeypatch.setattr(radial, "extinction_diagnostics", fail)
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, name="good.json", sigma_tilde=0.5), out) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        extra, params = self.FAILING[command]
+        bad = write_config(tmp_path, extra, name="bad.json", **params)
+        assert run(command, bad, tmp_path / "new") == 1
+        assert not (tmp_path / "new").exists()
+        assert run(command, bad, out) == 1
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert capsys.readouterr().err.count("\n") == 2
 
 
 class TestValidation:
@@ -759,27 +809,26 @@ def test_fuzz_cli_boundary(command, config):
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "Traceback" not in err
-        if code == 2:
+        if code != 0:
             assert not out.exists()
 
 
 class TestCsvWriter:
-    def test_float_pairs_match_cell_by_cell(self, tmp_path):
+    def test_float_pairs_match_cell_by_cell(self):
         rng = np.random.default_rng(7)
         values = np.concatenate([rng.uniform(-1e3, 1e3, 50), rng.lognormal(0.0, 30.0, 50),
                                  [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1.0 / 3.0]])
         rows = list(zip(values.tolist(), values[::-1].tolist()))
         mixed = [(True, 3), (np.int64(2), None), ("x", 1.5), (np.float64(0.25), 2.0), (1, 2, 3.5)]
-        cli._write_csv(tmp_path / "a.csv", ["t", "R"], rows + mixed)
         want = ["t,R"] + [
             ",".join("" if v is None else (v if isinstance(v, str) else cli._fmt(v)) for v in row)
             for row in rows + mixed
         ]
-        assert (tmp_path / "a.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+        assert cli._csv(["t", "R"], rows + mixed) == "\n".join(want) + "\n"
         assert want[-5:] == ["true,3", "2,", "x,1.5", "0.25,2", "1,2,3.5"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_raises(self, tmp_path, bad):
+    def test_non_finite_raises(self, bad):
         for row in ((0.5, bad), (bad, 0.5), (bad,), (0.5, 1.0, bad)):
             with pytest.raises(ValueError, match="non-finite"):
-                cli._write_csv(tmp_path / "b.csv", ["t", "R"], [(0.0, 1.0), row])
+                cli._csv(["t", "R"], [(0.0, 1.0), row])
